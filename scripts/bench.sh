@@ -2,28 +2,14 @@
 # Regenerates the machine-readable benchmark artifacts checked in at the
 # repository root:
 #
-#   BENCH_fig2.json    — raw ping-pong, mean + p99/p999/max per
-#                        (net, impl, size) row, virtual-clock timing
-#                        (exactly reproducible run-to-run);
-#   BENCH_wall.json    — the same ping-pong sweep on the wall clock:
-#                        two Cores on WallClockRuntimes over the
-#                        threaded shared-memory rail, real host
-#                        microseconds (host-dependent, indicative only —
-#                        its role is proving the engine runs unmodified
-#                        on real time);
-#   BENCH_fig3.json    — multi-segment ping-pong latency + MAD-MPI gain
-#                        per (net, segments, impl, size) row;
-#   BENCH_fig4.json    — indexed-datatype transfer time + gain per
-#                        (net, impl, element-count) row;
+#   BENCH_fig2.json, BENCH_fig3.json, BENCH_fig4.json, BENCH_ml_tail.json
+#                      — the virtual-clock artifacts, written by
+#                        scripts/sim_artifacts.sh (exactly reproducible
+#                        run-to-run);
 #   BENCH_micro.json   — engine hot-path micro-costs in real host
 #                        nanoseconds (google-benchmark aggregate rows:
 #                        mean/median/stddev plus p99/p999/max over
 #                        repetitions — host-dependent, indicative only);
-#   BENCH_ml_tail.json — ML-style traffic (ring-allreduce, PS incast)
-#                        under the flapping-rail profile (spray vs split)
-#                        AND the gray-rail profile (adaptive vs static
-#                        election, rail 1 dropping 5% while beaconing),
-#                        per-round tail quantiles on the virtual clock;
 #   BENCH_scale.json   — discrete-event core throughput: calendar queue
 #                        vs the heap baseline at 4/64/1k-rank pending
 #                        sets, plus the 1k-rank alltoall / 10k-flow
@@ -39,14 +25,9 @@ BUILD="${1:-build}"
 if [ ! -d "$BUILD" ]; then
   cmake -B "$BUILD" -S .
 fi
-cmake --build "$BUILD" -j --target \
-  fig2_pingpong fig2_wall fig3_multiseg fig4_datatype micro_engine ml_tail \
-  scale
+cmake --build "$BUILD" -j --target micro_engine scale
 
-"$BUILD"/bench/fig2_pingpong --json=BENCH_fig2.json --iters=200
-"$BUILD"/bench/fig2_wall --json=BENCH_wall.json --iters=100
-"$BUILD"/bench/fig3_multiseg --json=BENCH_fig3.json
-"$BUILD"/bench/fig4_datatype --json=BENCH_fig4.json
+scripts/sim_artifacts.sh "$BUILD" .
 
 "$BUILD"/bench/micro_engine \
   --benchmark_repetitions=25 \
@@ -54,8 +35,6 @@ cmake --build "$BUILD" -j --target \
   --benchmark_format=console \
   --benchmark_out_format=json \
   --benchmark_out=BENCH_micro.json
-
-"$BUILD"/bench/ml_tail --rounds=200 --json=BENCH_ml_tail.json 2>/dev/null
 
 # The scale bench exits non-zero by itself if any scenario allocated
 # during steady state; the python check below enforces the scheduler
@@ -74,5 +53,5 @@ assert speedup >= 5.0, \
 print(f"scale gate: {speedup:.2f}x over the heap baseline at 1k ranks")
 PY
 
-echo "artifacts: BENCH_fig2.json BENCH_wall.json BENCH_fig3.json" \
-     "BENCH_fig4.json BENCH_micro.json BENCH_ml_tail.json BENCH_scale.json"
+echo "artifacts: BENCH_fig2.json BENCH_fig3.json BENCH_fig4.json" \
+     "BENCH_micro.json BENCH_ml_tail.json BENCH_scale.json"

@@ -102,6 +102,16 @@ cmake -B "$BUILD_DIR" -S . -DNMAD_SANITIZE=ON \
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
+# Library split: nmad_core is the engine alone and must link no simulator
+# code. The include lint above also catches header-only uses, which leave
+# no symbol behind.
+core_undefined=$(nm -C --undefined-only "$BUILD_DIR"/src/nmad/libnmad_core.a)
+if grep 'simnet::' <<<"$core_undefined"; then
+  echo "libnmad_core.a references simnet symbols (move the file to nmad_sim)" >&2
+  exit 1
+fi
+echo "library split: nmad_core links no simnet symbol"
+
 # Thread tier: the wall-clock stack (rings, timer wheel + pump thread,
 # shm driver with its per-endpoint pump threads) rebuilt under TSan and
 # run alone — the virtual-clock tests are single-threaded by design, so

@@ -466,20 +466,4 @@ ReduceFn sum_double() {
   };
 }
 
-ReduceFn max_double() {
-  return [](void* inout, const void* in, int count) {
-    auto* a = static_cast<double*>(inout);
-    const auto* b = static_cast<const double*>(in);
-    for (int i = 0; i < count; ++i) a[i] = std::max(a[i], b[i]);
-  };
-}
-
-ReduceFn min_double() {
-  return [](void* inout, const void* in, int count) {
-    auto* a = static_cast<double*>(inout);
-    const auto* b = static_cast<const double*>(in);
-    for (int i = 0; i < count; ++i) a[i] = std::min(a[i], b[i]);
-  };
-}
-
 }  // namespace nmad::mpi

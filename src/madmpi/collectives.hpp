@@ -34,8 +34,6 @@ using ReduceFn =
 // Predefined combiners.
 ReduceFn sum_int();
 ReduceFn sum_double();
-ReduceFn max_double();
-ReduceFn min_double();
 
 class CollectiveOp {
  public:

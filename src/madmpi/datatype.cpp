@@ -43,9 +43,7 @@ Datatype basic(size_t n) {
 }  // namespace
 
 Datatype Datatype::byte_type() { return Datatype({Block{0, 1}}, 1); }
-Datatype Datatype::char_type() { return byte_type(); }
 Datatype Datatype::int_type() { return basic(sizeof(int)); }
-Datatype Datatype::float_type() { return basic(sizeof(float)); }
 Datatype Datatype::double_type() { return basic(sizeof(double)); }
 
 // ---------------------------------------------------------------------------

@@ -30,9 +30,7 @@ class Datatype {
 
   // Predefined types.
   static Datatype byte_type();
-  static Datatype char_type();
   static Datatype int_type();
-  static Datatype float_type();
   static Datatype double_type();
 
   // Type constructors (mirroring MPI_Type_*).

@@ -49,20 +49,6 @@ bool Endpoint::test_all(std::span<Request* const> reqs) {
   return true;
 }
 
-void Endpoint::send(const void* buf, int count, const Datatype& type,
-                    int dest, int tag, Comm comm) {
-  Request* req = isend(buf, count, type, dest, tag, comm);
-  wait(req);
-  free_request(req);
-}
-
-void Endpoint::recv(void* buf, int count, const Datatype& type, int source,
-                    int tag, Comm comm) {
-  Request* req = irecv(buf, count, type, source, tag, comm);
-  wait(req);
-  free_request(req);
-}
-
 void Endpoint::sendrecv(const void* send_buf, int send_count,
                         const Datatype& send_type, int dest, int send_tag,
                         void* recv_buf, int recv_count,

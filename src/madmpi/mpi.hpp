@@ -127,13 +127,6 @@ class Endpoint {
   // True when every request is complete (MPI_Testall).
   [[nodiscard]] static bool test_all(std::span<Request* const> reqs);
 
-  // Blocking convenience wrappers (wait() on the nonblocking form). The
-  // matching operation must already be posted or in flight — see the
-  // split-phase note above.
-  void send(const void* buf, int count, const Datatype& type, int dest,
-            int tag, Comm comm);
-  void recv(void* buf, int count, const Datatype& type, int source, int tag,
-            Comm comm);
   // MPI_Sendrecv: both transfers in flight at once (safe against the
   // head-to-head exchange deadlock).
   void sendrecv(const void* send_buf, int send_count,

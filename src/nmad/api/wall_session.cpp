@@ -10,7 +10,7 @@ namespace nmad::api {
 WallCluster::WallCluster(Options options)
     : wait_timeout_us_(options.wait_timeout_us) {
   NMAD_ASSERT_MSG(options.nodes >= 2, "cluster needs at least two nodes");
-  hub_ = std::make_unique<drivers::ShmHub>(options.nodes, options.hub);
+  hub_ = std::make_unique<drivers::ShmHub>(options.nodes);
 
   for (size_t n = 0; n < options.nodes; ++n) {
     runtime::WallClockRuntime::Options rt_options;

@@ -25,7 +25,6 @@ class WallCluster {
   struct Options {
     size_t nodes = 2;
     core::CoreConfig core;
-    drivers::ShmHub::Options hub;
     // wait() aborts after this much real time without completion: a
     // wedged wall-clock protocol hangs forever otherwise.
     double wait_timeout_us = 30e6;

@@ -57,7 +57,7 @@ SendRequest* CollectLayer::isend(Gate& gate, Tag tag, const SourceLayout& src,
     req->complete(gate.fail_status);
     return req;
   }
-  ctx_.rt.cpu().charge(ctx_.config.submit_overhead_us);
+  ctx_.rt.cpu().charge(runtime::Cost::kSubmit);
 
   const size_t total = src.total();
   if (total == 0) {
@@ -120,7 +120,7 @@ RecvRequest* CollectLayer::irecv(Gate& gate, Tag tag, DestLayout dest) {
     req->complete(gate.fail_status);
     return req;
   }
-  ctx_.rt.cpu().charge(ctx_.config.submit_overhead_us);
+  ctx_.rt.cpu().charge(runtime::Cost::kSubmit);
 
   const MsgKey key{tag, seq};
   gate.collect.active_recv[key] = req;
@@ -698,11 +698,10 @@ uint32_t CollectLayer::reap_tombstones(Gate& gate) {
     // Anything referencing a key tombstoned a full reliability window
     // below the floor arrives as a duplicate and is suppressed before the
     // tombstone would ever be consulted — the entry is dead weight.
-    const auto win = static_cast<uint32_t>(ctx_.config.reliability_window);
     uint64_t reaped = 0;
     const auto reap = [&](auto& tombs) {
       for (auto it = tombs.begin(); it != tombs.end();) {
-        if (floor - it->second >= win && it->second <= floor) {
+        if (floor - it->second >= kReliabilityWindow && it->second <= floor) {
           it = tombs.erase(it);
           ++reaped;
         } else {

@@ -18,15 +18,6 @@ struct CoreConfig {
   // selected among an extensible and programmable set of strategies").
   std::string strategy = "aggreg";
 
-  // Modelled software costs of the engine itself. These are what §5.1
-  // measures as the < 0.5 µs MAD-MPI overhead: the extra header plus the
-  // scheduler "inspect[ing] the ready list of packets".
-  double submit_overhead_us = 0.10;  // collect layer, per isend/irecv
-  double submit_chunk_us = 0.03;     // per chunk registered
-  double elect_overhead_us = 0.40;   // optimizer, per packet election
-  double parse_packet_us = 0.20;     // receive path, per packet
-  double parse_chunk_us = 0.05;      // receive path, per chunk
-
   // Overrides the per-rail rendezvous threshold when non-zero.
   size_t rdv_threshold_override = 0;
 
@@ -50,7 +41,8 @@ struct CoreConfig {
   // every payload-bearing packet carries a sequence number, the receiver
   // acknowledges (piggybacked on reverse traffic where possible), and the
   // sender retransmits on timeout with exponential backoff, failing over
-  // to surviving rails. Forces wire_checksum on; corrupt packets are
+  // to surviving rails. At most kReliabilityWindow (64) packets per gate
+  // are unacked at once. Forces wire_checksum on; corrupt packets are
   // dropped and recovered by retransmission instead of asserting.
   bool reliability = false;
   // Base retransmit deadline for a track-0 packet. Rendezvous slices add
@@ -59,24 +51,14 @@ struct CoreConfig {
   // Delayed-ack grace: how long the receiver waits for reverse traffic to
   // piggyback on before sending a standalone ack packet.
   double ack_delay_us = 5.0;
-  // Timeout multiplier applied after each retransmission of an entry.
-  double retry_backoff = 2.0;
-  // Decorrelates the exponential backoff: each retransmission's growth
-  // factor is drawn seed-deterministically and symmetrically around
-  // retry_backoff — from [0.5, 1.5) of it when retry_backoff >= 2, from
-  // the widest sub-range that cannot shrink a timeout (half-width
-  // retry_backoff - 1) otherwise — so retries synchronized by a blackout
-  // or peer crash do not land on the wire in lockstep and re-congest the
-  // recovering rail. The mean growth is always the configured factor;
-  // retry_backoff = 1 (constant timeouts) is left exactly alone.
-  bool backoff_jitter = true;
-  // A packet/slice that times out this many times fails the gate.
+  // A packet/slice that times out this many times fails the gate. Each
+  // retransmission grows its timeout by a seed-deterministic factor drawn
+  // from [1, 3) (mean 2), so retries synchronized by a blackout or peer
+  // crash do not land on the wire in lockstep.
   uint32_t max_retries = 10;
   // Consecutive timeouts on one rail before it is declared dead and its
   // in-flight traffic re-elected onto surviving rails (0 disables).
   uint32_t rail_dead_after = 6;
-  // Max unacked packets per gate; window packing pauses at the cap.
-  size_t reliability_window = 64;
 
   // --- Receiver-driven flow control ---------------------------------------
   // Enables credit-based eager admission: the receiver advertises
@@ -123,7 +105,7 @@ struct CoreConfig {
   // --- Per-packet multipath spray -----------------------------------------
   // Sprays rendezvous-class contiguous bodies packet-by-packet across every
   // alive rail instead of negotiating per-rail RDMA sinks: the body is cut
-  // into spray_frag_bytes kSprayFrag chunks that the strategy stripes over
+  // into 8 KiB kSprayFrag chunks that the strategy stripes over
   // the rails, and the receiver reassembles them into the posted buffer
   // through a reorder-tolerant coverage map. When the health machine marks
   // a rail *suspect* (not yet dead), in-flight sprayed fragments on that
@@ -132,7 +114,6 @@ struct CoreConfig {
   // from the dead_after_us horizon to the suspect_after_us horizon.
   // Forces reliability on (sprayed fragments ride the packet ack machinery).
   bool spray = false;
-  size_t spray_frag_bytes = 8 * 1024;
   // Thresholds are on receive silence, so with several peers beaconing in
   // rotation keep suspect_after_us at a few heartbeat intervals.
   double suspect_after_us = 1500.0;
@@ -166,29 +147,22 @@ struct CoreConfig {
   // transfer engine keeps an EWMA frame-loss rate (from ack vs. timeout
   // outcomes), a delivery-latency digest and a delivered-bytes throughput
   // estimate per rail, and flags a rail *degraded* when loss or latency
-  // breaches its enter threshold for degraded_sustain_us straight — even
+  // breaches its enter threshold for 300 µs straight — even
   // though the rail still beacons and stays "alive". The schedule layer
   // closes the loop: degraded rails are evicted from spray stripe sets and
   // skipped by election, and a rail entering degraded mid-transfer has its
   // in-flight sprayed fragments re-issued on survivors exactly as the
   // suspect path does. Exit uses the (lower) exit thresholds plus a
-  // minimum dwell so a borderline rail cannot flap. Forces rail_health on
-  // (scores refine the lifecycle, they do not replace it).
+  // minimum dwell so a borderline rail cannot flap. The loss band (enter
+  // at 2%, exit at 0.5% of an EWMA with alpha 0.1) and the timings
+  // (300 µs sustain, 1 ms dwell) are constants in transfer_engine.cpp.
+  // Forces rail_health on (scores refine the lifecycle, they do not
+  // replace it).
   bool adaptive = false;
-  // EWMA smoothing factor for the per-delivery loss estimate.
-  double score_loss_alpha = 0.1;
-  // Loss-rate hysteresis band: enter degraded at/above `enter`, leave
-  // at/below `exit`.
-  double degraded_loss_enter = 0.02;
-  double degraded_loss_exit = 0.005;
   // Delivery-latency hysteresis band on the recent-window p99, in µs
   // (0 disables the latency criterion).
   double degraded_latency_enter_us = 0.0;
   double degraded_latency_exit_us = 0.0;
-  // How long a breach must persist before the rail turns degraded, and
-  // how long a degraded rail must stay clean before it recovers.
-  double degraded_sustain_us = 300.0;
-  double degraded_dwell_us = 1000.0;
 };
 
 // One rail's position in the health lifecycle (CoreConfig::rail_health):
@@ -291,22 +265,6 @@ struct CoreStats {
   uint64_t recvs_cancelled = 0;
   uint64_t deadlines_exceeded = 0;
   uint64_t cancelled_payload_dropped = 0;  // chunks for a cancelled recv
-
-  // Event bus: one counter per EventKind published (the observability
-  // spine; see events.hpp for the kinds).
-  uint64_t ev_packet_built = 0;
-  uint64_t ev_elected = 0;
-  uint64_t ev_wire_tx = 0;
-  uint64_t ev_wire_rx = 0;
-  uint64_t ev_acked = 0;
-  uint64_t ev_retransmit = 0;
-  uint64_t ev_health_transition = 0;
-  uint64_t ev_drain_milestone = 0;
-  uint64_t ev_spray_reissued = 0;
-  uint64_t ev_spray_frag_rx = 0;
-  uint64_t ev_reassembled = 0;
-  uint64_t ev_peer_died = 0;
-  uint64_t ev_peer_rejoined = 0;
 
   // Invariant validation (check_invariants / validate_invariants; the
   // hot-path hooks that drive these only compile under -DNMAD_VALIDATE).

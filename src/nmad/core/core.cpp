@@ -18,7 +18,7 @@ constexpr double kDeadlineRetryUs = 50.0;
 Core::Core(runtime::IRuntime& rt, CoreConfig config)
     : rt_(rt),
       config_(std::move(config)),
-      bus_(rt_, &stats_),
+      bus_(rt_),
       ctx_{rt_,        config_,    stats_,     bus_,
            chunk_pool_, bulk_pool_, send_pool_, recv_pool_, gates_},
       sched_(ctx_, *this, *this,
@@ -254,10 +254,6 @@ util::Status Core::set_strategy(const std::string& name) {
   return util::ok_status();
 }
 
-void Core::poll() {
-  for (auto& rail : rails_) rail->poll();
-}
-
 // ---------------------------------------------------------------------------
 // Collect-layer forwarders
 // ---------------------------------------------------------------------------
@@ -317,7 +313,7 @@ void Core::on_packet(RailIndex rail, drivers::RxPacket&& packet) {
     sched_.note_heard(g, rail);  // a delivering rail: best ack return path
   }
   ++stats_.packets_received;
-  rt_.cpu().charge(config_.parse_packet_us);
+  rt_.cpu().charge(runtime::Cost::kParsePacket);
 
   PacketMeta meta;
   bool classified = false;  // packet-level framing inspected
@@ -359,7 +355,7 @@ void Core::on_packet(RailIndex rail, drivers::RxPacket&& packet) {
           return;
         }
         processed = true;
-        rt_.cpu().charge(config_.parse_chunk_us);
+        rt_.cpu().charge(runtime::Cost::kParseChunk);
         ++stats_.chunks_received;
         switch (chunk.kind) {
           case ChunkKind::kData:
@@ -820,17 +816,13 @@ void Core::debug_dump(std::ostream& out) const {
           static_cast<ULL>(stats_.deadlines_exceeded),
           static_cast<ULL>(stats_.cancelled_payload_dropped));
   }
-  dumpf(out,
-        "events: built=%llu elected=%llu tx=%llu rx=%llu acked=%llu "
-        "retx=%llu health=%llu drain=%llu\n",
-        static_cast<ULL>(stats_.ev_packet_built),
-        static_cast<ULL>(stats_.ev_elected),
-        static_cast<ULL>(stats_.ev_wire_tx),
-        static_cast<ULL>(stats_.ev_wire_rx),
-        static_cast<ULL>(stats_.ev_acked),
-        static_cast<ULL>(stats_.ev_retransmit),
-        static_cast<ULL>(stats_.ev_health_transition),
-        static_cast<ULL>(stats_.ev_drain_milestone));
+  dumpf(out, "events:");
+  for (size_t k = 0; k < kEventKindCount; ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    dumpf(out, " %s=%llu", event_kind_name(kind),
+          static_cast<ULL>(bus_.count(kind)));
+  }
+  dumpf(out, "\n");
   const AllocStats alloc = alloc_stats();
   dumpf(out,
         "alloc: chunk=%zu/%zu(%zu) bulk=%zu/%zu(%zu) send=%zu/%zu(%zu) "

@@ -140,9 +140,6 @@ class Core final : public ITransferFleet, private IEngine {
   // shutdown; closing with traffic in flight abandons it.
   void close_gate(GateId id);
 
-  // Drives driver-internal progress (no-op on the simulated fabric).
-  void poll();
-
   // Introspection ----------------------------------------------------------
   [[nodiscard]] const CoreConfig& config() const { return config_; }
   [[nodiscard]] const CoreStats& stats() const { return stats_; }

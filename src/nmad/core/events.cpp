@@ -38,58 +38,15 @@ const char* event_kind_name(EventKind kind) {
   return "?";
 }
 
-EventBus::EventBus(runtime::IRuntime& rt, CoreStats* stats,
-                   size_t trace_capacity)
-    : rt_(rt), stats_(stats), capacity_(trace_capacity) {
+EventBus::EventBus(runtime::IRuntime& rt, size_t trace_capacity)
+    : rt_(rt), capacity_(trace_capacity) {
   ring_.reserve(capacity_);
 }
 
 void EventBus::publish(Event ev) {
   ev.t = rt_.now_us();
   ++published_;
-  if (stats_ != nullptr) {
-    switch (ev.kind) {
-      case EventKind::kPacketBuilt:
-        ++stats_->ev_packet_built;
-        break;
-      case EventKind::kElected:
-        ++stats_->ev_elected;
-        break;
-      case EventKind::kWireTx:
-        ++stats_->ev_wire_tx;
-        break;
-      case EventKind::kWireRx:
-        ++stats_->ev_wire_rx;
-        break;
-      case EventKind::kAcked:
-        ++stats_->ev_acked;
-        break;
-      case EventKind::kRetransmit:
-        ++stats_->ev_retransmit;
-        break;
-      case EventKind::kHealthTransition:
-        ++stats_->ev_health_transition;
-        break;
-      case EventKind::kDrainMilestone:
-        ++stats_->ev_drain_milestone;
-        break;
-      case EventKind::kSprayReissued:
-        ++stats_->ev_spray_reissued;
-        break;
-      case EventKind::kSprayFragRx:
-        ++stats_->ev_spray_frag_rx;
-        break;
-      case EventKind::kReassembled:
-        ++stats_->ev_reassembled;
-        break;
-      case EventKind::kPeerDied:
-        ++stats_->ev_peer_died;
-        break;
-      case EventKind::kPeerRejoined:
-        ++stats_->ev_peer_rejoined;
-        break;
-    }
-  }
+  ++counts_[static_cast<size_t>(ev.kind)];
   if (capacity_ > 0) {
     if (ring_.size() < capacity_) {
       ring_.push_back(ev);

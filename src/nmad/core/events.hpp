@@ -9,17 +9,17 @@
 //
 // The bus doubles as the observability spine: every published event lands
 // in a fixed-capacity ring (the packet tracer) that debug_dump and the
-// invariant-failure path render, and bumps a per-kind counter folded into
-// CoreStats, so "what just happened" survives into any failure report.
+// invariant-failure path render, and bumps a per-kind counter (count()),
+// so "what just happened" survives into any failure report.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <vector>
 
-#include "nmad/core/config.hpp"
 #include "nmad/core/types.hpp"
 #include "nmad/runtime/runtime.hpp"
 
@@ -74,20 +74,24 @@ class EventBus {
 
   static constexpr size_t kDefaultTraceCapacity = 256;
 
-  EventBus(runtime::IRuntime& rt, CoreStats* stats,
-           size_t trace_capacity = kDefaultTraceCapacity);
+  explicit EventBus(runtime::IRuntime& rt,
+                    size_t trace_capacity = kDefaultTraceCapacity);
 
   EventBus(const EventBus&) = delete;
   EventBus& operator=(const EventBus&) = delete;
 
   // Stamps the event with the runtime's current time, records it in the
-  // trace ring, bumps the per-kind stats counter, and synchronously
-  // notifies every subscriber of that kind (in subscription order).
+  // trace ring, bumps the per-kind counter, and synchronously notifies
+  // every subscriber of that kind (in subscription order).
   void publish(Event ev);
 
   void subscribe(EventKind kind, Subscriber fn);
 
   [[nodiscard]] uint64_t published() const { return published_; }
+  // Events of `kind` published so far.
+  [[nodiscard]] uint64_t count(EventKind kind) const {
+    return counts_[static_cast<size_t>(kind)];
+  }
   [[nodiscard]] size_t trace_size() const;
   // Oldest-first snapshot of the retained ring.
   [[nodiscard]] std::vector<Event> trace() const;
@@ -96,11 +100,11 @@ class EventBus {
 
  private:
   runtime::IRuntime& rt_;
-  CoreStats* stats_;
   std::vector<Event> ring_;
   size_t capacity_;
   size_t next_ = 0;  // ring write position once full
   uint64_t published_ = 0;
+  std::array<uint64_t, kEventKindCount> counts_{};
   std::vector<Subscriber> subscribers_[kEventKindCount];
 };
 

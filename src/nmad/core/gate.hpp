@@ -148,6 +148,11 @@ struct PendingBulk {
 
 using BulkKey = std::pair<uint64_t, size_t>;  // (cookie, offset)
 
+// Max unacked packets per gate under the reliability layer: window
+// packing pauses at the cap. A tombstone a full window below the receive
+// floor can no longer be consulted, so it is also the tombstone GC horizon.
+inline constexpr uint32_t kReliabilityWindow = 64;
+
 // Watermark sentinel for a tombstone that is not yet eligible for the
 // receive-floor GC (see GateSched::cancelled_rdv).
 inline constexpr uint32_t kTombUnarmed = UINT32_MAX;

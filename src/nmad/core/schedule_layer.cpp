@@ -20,6 +20,11 @@ constexpr size_t kMaxBulkAcksPerAck = 16;
 // demoted to rendezvous instead of waiting for the window to open: the
 // RTS costs a round-trip but moves no payload until the receiver agrees.
 constexpr size_t kCreditRdvFloor = 1024;
+// Largest kSprayFrag payload: the unit the spray path stripes over rails.
+constexpr size_t kSprayFragBytes = 8 * 1024;
+// Retransmit timeouts grow by this factor per retry (jittered around it;
+// see backoff_growth).
+constexpr double kRetryBackoff = 2.0;
 }  // namespace
 
 ScheduleLayer::ScheduleLayer(EngineContext& ctx, ITransferFleet& fleet,
@@ -61,7 +66,7 @@ void ScheduleLayer::init_gate(Gate& gate) {
 // ---------------------------------------------------------------------------
 
 void ScheduleLayer::enqueue(Gate& gate, OutChunk* chunk) {
-  ctx_.rt.cpu().charge(ctx_.config.submit_chunk_us);
+  ctx_.rt.cpu().charge(runtime::Cost::kSubmitChunk);
   if (chunk->prio == Priority::kHigh) chunk->flags |= kFlagPriority;
   if (flow_control() && !chunk->is_control() && !chunk->credit_charged) {
     gate.sched.window_eager_bytes += chunk->payload.size();
@@ -165,8 +170,7 @@ void ScheduleLayer::maybe_prebuild(RailIndex rail) {
       continue;
     }
     if (g.sched.window.size() < ctx_.config.prebuild_backlog_chunks) continue;
-    if (reliable() &&
-        g.sched.pending_pkts.size() >= ctx_.config.reliability_window) {
+    if (reliable() && g.sched.pending_pkts.size() >= kReliabilityWindow) {
       continue;
     }
     const size_t max_bytes =
@@ -180,7 +184,7 @@ void ScheduleLayer::maybe_prebuild(RailIndex rail) {
     if (taken == 0) continue;
     // The election cost is paid now, overlapped with the NIC's current
     // transmission instead of delaying the next one.
-    ctx_.rt.cpu().charge(ctx_.config.elect_overhead_us);
+    ctx_.rt.cpu().charge(runtime::Cost::kElect);
     ++ctx_.stats.packets_prebuilt;
     ctx_.bus.publish({.kind = EventKind::kElected,
                       .gate = g.id,
@@ -280,8 +284,7 @@ void ScheduleLayer::refill_rail(RailIndex rail) {
     }
 
     if (!yield_window && !g.sched.window.empty()) {
-      if (reliable() &&
-          g.sched.pending_pkts.size() >= ctx_.config.reliability_window) {
+      if (reliable() && g.sched.pending_pkts.size() >= kReliabilityWindow) {
         continue;  // sliding window full: wait for acks
       }
       const size_t max_bytes =
@@ -320,7 +323,7 @@ void ScheduleLayer::issue_packet(Gate& gate, RailIndex rail,
   // The optimizer just inspected the window and synthesized a packet;
   // charge its cost (§5.1: "extra operations on the critical path") —
   // unless it was already paid at prebuild time.
-  if (charge_election) ctx_.rt.cpu().charge(ctx_.config.elect_overhead_us);
+  if (charge_election) ctx_.rt.cpu().charge(runtime::Cost::kElect);
   ++ctx_.stats.packets_sent;
   ctx_.stats.chunks_sent += builder->chunk_count();
   if (builder->chunk_count() > 1) {
@@ -432,7 +435,7 @@ void ScheduleLayer::issue_standalone(Gate& gate, RailIndex rail,
 void ScheduleLayer::issue_bulk(Gate& gate, RailIndex rail, BulkJob* job,
                                size_t bytes) {
   NMAD_ASSERT(bytes > 0 && bytes <= job->remaining());
-  ctx_.rt.cpu().charge(ctx_.config.elect_overhead_us);
+  ctx_.rt.cpu().charge(runtime::Cost::kElect);
   ++ctx_.stats.bulk_sends;
   ctx_.stats.bulk_bytes += bytes;
 
@@ -504,7 +507,7 @@ void ScheduleLayer::spray_job(Gate& gate, BulkJob* job) {
                           kSprayFragHeaderBytes + kChecksumTrailerBytes;
   NMAD_ASSERT(gate.max_packet > overhead);
   const size_t frag_bytes = std::max<size_t>(
-      1, std::min(ctx_.config.spray_frag_bytes, gate.max_packet - overhead));
+      1, std::min(kSprayFragBytes, gate.max_packet - overhead));
 
   ++ctx_.stats.spray_sends;
   uint32_t frag_seq = 0;
@@ -730,14 +733,13 @@ uint32_t ScheduleLayer::recv_watermark(const Gate& gate) const {
 void ScheduleLayer::reap_sched_tombstones(Gate& gate) {
   GateSched& s = gate.sched;
   const uint32_t floor = s.recv_floor;
-  const auto win = static_cast<uint32_t>(ctx_.config.reliability_window);
   uint64_t reaped = 0;
   const auto reap = [&](auto& tombs) {
     for (auto it = tombs.begin(); it != tombs.end();) {
       // Unarmed entries (cancel-RTS not yet acked) are never reaped: the
       // receiver may still issue a fresh-seq CTS that must find them.
-      if (it->second != kTombUnarmed && floor - it->second >= win &&
-          it->second <= floor) {
+      if (it->second != kTombUnarmed &&
+          floor - it->second >= kReliabilityWindow && it->second <= floor) {
         it = tombs.erase(it);
         ++reaped;
       } else {
@@ -952,18 +954,13 @@ void ScheduleLayer::arm_bulk_timer(Gate& gate, const BulkKey& key) {
 }
 
 double ScheduleLayer::backoff_growth() {
-  const double growth = ctx_.config.retry_backoff;
-  if (!ctx_.config.backoff_jitter) return growth;
-  // The draw is symmetric around the configured factor so jitter never
+  // The draw is symmetric around the growth factor so jitter never
   // changes the expected growth. The half-width is 0.5 * growth, shrunk
   // to growth - 1 whenever the full range could dip below 1.0 (a
   // jittered timeout must never shrink — backoff stays monotone per
-  // entry). A one-sided clamp instead would inflate small factors:
-  // retry_backoff = 1.0 (constant timeouts) would silently grow up to
-  // 1.5x per retry. At growth <= 1 the width collapses to zero and the
-  // configured factor is returned untouched.
+  // entry). At kRetryBackoff = 2 both bounds are 1: draws span [1, 3).
+  const double growth = kRetryBackoff;
   const double half = std::min(0.5 * growth, growth - 1.0);
-  if (half <= 0.0) return growth;
   // xorshift64* — cheap, allocation-free, and seeded per node, so a
   // replayed schedule draws the identical jitter sequence.
   uint64_t x = jitter_state_;
@@ -1050,7 +1047,7 @@ void ScheduleLayer::retransmit_packet(Gate& gate, RailIndex rail,
                     .rail = rail,
                     .seq = seq});
   // Re-issuing is an election of sorts: the engine walked its queues.
-  ctx_.rt.cpu().charge(ctx_.config.elect_overhead_us);
+  ctx_.rt.cpu().charge(runtime::Cost::kElect);
   std::shared_ptr<util::ByteBuffer> wire = p.wire;
   util::SegmentVec segments;
   segments.add(wire->view());
@@ -1078,7 +1075,7 @@ void ScheduleLayer::retransmit_bulk(Gate& gate, RailIndex rail,
                     .rail = rail,
                     .a = key.first,
                     .b = key.second});
-  ctx_.rt.cpu().charge(ctx_.config.elect_overhead_us);
+  ctx_.rt.cpu().charge(runtime::Cost::kElect);
   util::SegmentVec segments;
   segments.add(p.job->body.subspan(p.offset, p.len));
   const util::Status st = fleet_.transfer_rail(rail).send_bulk(
@@ -1650,54 +1647,12 @@ void ScheduleLayer::on_rail_dead(RailIndex rail) {
   for (auto& gate_ptr : ctx_.gates) {
     Gate& g = *gate_ptr;
     if (g.failed || !g.has_rail(rail)) continue;
-    bool any_alive = false;
-    for (RailIndex r : g.rails) {
-      if (fleet_.transfer_rail(r).alive()) {
-        any_alive = true;
-        break;
-      }
-    }
-    if (!any_alive) {
-      // Park this rail's in-flight traffic in the retx queues (entries on
-      // the other rails were parked when those rails died). With no rail
-      // to elect onto the queues cannot drain, but crucially no retransmit
-      // timer keeps ticking toward the retry limit while the fate of the
-      // peer is undecided.
-      for (auto& [seq, p] : g.sched.pending_pkts) {
-        if (p.last_rail != rail || p.queued_retx) continue;
-        if (p.timer_armed) {
-          ctx_.rt.cancel(p.timer);
-          p.timer_armed = false;
-        }
-        p.queued_retx = true;
-        g.sched.retx_queue.push_back(seq);
-      }
-      for (auto& [key, p] : g.sched.pending_bulk) {
-        if (p.last_rail != rail || p.queued_retx) continue;
-        if (p.timer_armed) {
-          ctx_.rt.cancel(p.timer);
-          p.timer_armed = false;
-        }
-        p.queued_retx = true;
-        g.sched.bulk_retx.push_back(key);
-      }
-      // The façade decides what "unreachable" means: under the peer
-      // lifecycle it arms the death grace (a rail may yet revive);
-      // otherwise it fails the gate immediately as before.
-      engine_.peer_unreachable(g);
-      continue;
-    }
 
-    // Unpin traffic the application pinned to the dead rail: delivery
-    // beats placement once the rail is gone.
-    for (OutChunk& chunk : g.sched.window) {
-      if (chunk.pinned_rail == rail) chunk.pinned_rail = kAnyRail;
-    }
-    for (auto& [cookie, job] : g.sched.rdv_wait_cts) {
-      if (job->pinned_rail == rail) job->pinned_rail = kAnyRail;
-    }
-
-    // Re-elect in-flight traffic that last rode the dead rail.
+    // Park the in-flight traffic that last rode the dead rail in the retx
+    // queues (entries on other rails were parked when those rails died).
+    // A surviving rail re-elects it; with none left the queues cannot
+    // drain, but crucially no retransmit timer keeps ticking toward the
+    // retry limit while the fate of the peer is undecided.
     for (auto& [seq, p] : g.sched.pending_pkts) {
       if (p.last_rail != rail || p.queued_retx) continue;
       if (p.timer_armed) {
@@ -1715,6 +1670,30 @@ void ScheduleLayer::on_rail_dead(RailIndex rail) {
       }
       p.queued_retx = true;
       g.sched.bulk_retx.push_back(key);
+    }
+
+    bool any_alive = false;
+    for (RailIndex r : g.rails) {
+      if (fleet_.transfer_rail(r).alive()) {
+        any_alive = true;
+        break;
+      }
+    }
+    if (!any_alive) {
+      // The façade decides what "unreachable" means: under the peer
+      // lifecycle it arms the death grace (a rail may yet revive);
+      // otherwise it fails the gate immediately as before.
+      engine_.peer_unreachable(g);
+      continue;
+    }
+
+    // Unpin traffic the application pinned to the dead rail: delivery
+    // beats placement once the rail is gone.
+    for (OutChunk& chunk : g.sched.window) {
+      if (chunk.pinned_rail == rail) chunk.pinned_rail = kAnyRail;
+    }
+    for (auto& [cookie, job] : g.sched.rdv_wait_cts) {
+      if (job->pinned_rail == rail) job->pinned_rail = kAnyRail;
     }
 
     // Rendezvous jobs lose the rail from their grant; a job with no
@@ -2059,9 +2038,9 @@ void ScheduleLayer::check_gate(const Gate& gate,
 
   // --- reliability -----------------------------------------------------
   if (ctx_.config.reliability) {
-    if (s.pending_pkts.size() > ctx_.config.reliability_window) {
-      addf(out, "gate %u: %zu unacked packets exceed the window cap %zu",
-           gate.id, s.pending_pkts.size(), ctx_.config.reliability_window);
+    if (s.pending_pkts.size() > kReliabilityWindow) {
+      addf(out, "gate %u: %zu unacked packets exceed the window cap %u",
+           gate.id, s.pending_pkts.size(), kReliabilityWindow);
     }
     for (const auto& [seq, p] : s.pending_pkts) {
       if (seq >= s.next_pkt_seq) {
@@ -2161,8 +2140,7 @@ void ScheduleLayer::check_gate(const Gate& gate,
         // Unarmed cancel tombstones wait for the cancel-RTS ack and are
         // exempt from the watermark until then.
         if (born == kTombUnarmed) continue;
-        if (born > s.recv_floor ||
-            s.recv_floor - born > ctx_.config.reliability_window) {
+        if (born > s.recv_floor || s.recv_floor - born > kReliabilityWindow) {
           addf(out,
                "gate %u: %s tombstone (key %llu) born at floor %u "
                "outlived the watermark (floor now %u)",

@@ -197,13 +197,12 @@ class ScheduleLayer final : public ISchedule, public IPacketIssuer {
   void spray_job(Gate& gate, BulkJob* job);
 
   // Reliability -------------------------------------------------------------
-  // The multiplicative retransmit-backoff growth for one timeout. With
-  // CoreConfig::backoff_jitter a deterministic per-node draw spreads the
-  // factor symmetrically around the configured value, as wide as
-  // possible without ever dipping below 1.0 (decorrelated backoff with
-  // the configured mean): peers whose timers fired in lockstep — the
-  // thundering herd after a shared blackout — spread their retries
-  // instead of colliding again.
+  // The multiplicative retransmit-backoff growth for one timeout. A
+  // deterministic per-node draw spreads the factor symmetrically around
+  // kRetryBackoff, as wide as possible without ever dipping below 1.0
+  // (decorrelated backoff with a fixed mean): peers whose timers fired in
+  // lockstep — the thundering herd after a shared blackout — spread their
+  // retries instead of colliding again.
   [[nodiscard]] double backoff_growth();
   // Reaps this layer's tombstones (cancelled_rdv, completed_bulk) whose
   // arming-time floor has fallen a full reliability window behind the

@@ -22,6 +22,20 @@
 
 namespace nmad::core {
 
+namespace {
+// EWMA smoothing factor of the per-delivery loss and latency estimates.
+constexpr double kScoreLossAlpha = 0.1;
+// Loss-rate hysteresis band: a rail enters degraded at/above `enter` and
+// leaves at/below `exit`.
+constexpr double kDegradedLossEnter = 0.02;
+constexpr double kDegradedLossExit = 0.005;
+// A breach must persist kDegradedSustainUs before the rail turns
+// degraded; a degraded rail recovers once it has been degraded for
+// kDegradedDwellUs and clean for kDegradedSustainUs (no flapping).
+constexpr double kDegradedSustainUs = 300.0;
+constexpr double kDegradedDwellUs = 1000.0;
+}  // namespace
+
 const char* rail_health_name(RailHealth health) {
   switch (health) {
     case RailHealth::kAlive: return "alive";
@@ -104,7 +118,7 @@ void TransferEngine::cancel_bulk_recv(uint64_t cookie) {
 void TransferEngine::note_delivery(double latency_us) {
   consec_timeouts_ = 0;
   if (!adaptive_on()) return;
-  const double a = ctx_.config.score_loss_alpha;
+  const double a = kScoreLossAlpha;
   loss_ewma_ *= 1.0 - a;  // a successful delivery pulls the estimate down
   if (latency_us >= 0.0) {
     delivery_latency_.add(latency_us);
@@ -117,7 +131,7 @@ void TransferEngine::note_delivery(double latency_us) {
 
 void TransferEngine::note_timeout() {
   if (adaptive_on() && alive_) {
-    const double a = ctx_.config.score_loss_alpha;
+    const double a = kScoreLossAlpha;
     loss_ewma_ = (1.0 - a) * loss_ewma_ + a;  // a loss pulls it up
     update_degraded();
   }
@@ -135,9 +149,9 @@ void TransferEngine::update_degraded() {
                               ? cfg.degraded_latency_exit_us
                               : cfg.degraded_latency_enter_us;
   const bool breach =
-      loss_ewma_ >= cfg.degraded_loss_enter ||
+      loss_ewma_ >= kDegradedLossEnter ||
       (lat_on && lat_ewma_us_ >= cfg.degraded_latency_enter_us);
-  const bool clean = loss_ewma_ <= cfg.degraded_loss_exit &&
+  const bool clean = loss_ewma_ <= kDegradedLossExit &&
                      (!lat_on || lat_ewma_us_ <= lat_exit);
 
   if (health_ == RailHealth::kDegraded) {
@@ -145,8 +159,8 @@ void TransferEngine::update_degraded() {
     // reading below the *exit* thresholds — the hysteresis band.
     if (clean) {
       if (clean_since_us_ < 0.0) clean_since_us_ = now;
-      if (now - degraded_at_us_ >= cfg.degraded_dwell_us &&
-          now - clean_since_us_ >= cfg.degraded_sustain_us) {
+      if (now - degraded_at_us_ >= kDegradedDwellUs &&
+          now - clean_since_us_ >= kDegradedSustainUs) {
         clean_since_us_ = -1.0;
         breach_since_us_ = -1.0;
         ++ctx_.stats.rails_recovered;
@@ -165,7 +179,7 @@ void TransferEngine::update_degraded() {
   if (health_ != RailHealth::kAlive) return;
   if (breach) {
     if (breach_since_us_ < 0.0) breach_since_us_ = now;
-    if (now - breach_since_us_ >= cfg.degraded_sustain_us) {
+    if (now - breach_since_us_ >= kDegradedSustainUs) {
       breach_since_us_ = -1.0;
       clean_since_us_ = -1.0;
       degraded_at_us_ = now;
@@ -453,7 +467,7 @@ void TransferEngine::handle_heartbeat(Gate& gate, const WireChunk& chunk) {
         if (adaptive_on()) {
           const double rtt = ctx_.rt.now_us() - last_probe_us_;
           delivery_latency_.add(rtt);
-          const double a = ctx_.config.score_loss_alpha;
+          const double a = kScoreLossAlpha;
           lat_ewma_us_ = lat_ewma_us_ == 0.0
                              ? rtt
                              : (1.0 - a) * lat_ewma_us_ + a * rtt;

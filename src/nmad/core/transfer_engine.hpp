@@ -80,7 +80,6 @@ class TransferEngine final : public ITransferRail {
   void start_monitor(double now);
   void stop_monitor();
 
-  void poll() { driver_->poll(); }
   void shutdown() { driver_->shutdown(); }
   [[nodiscard]] const std::string& name() const {
     return driver_->caps().name;

@@ -16,13 +16,6 @@ BulkSink::BulkSink(uint64_t cookie, util::MutableBytes region,
   NMAD_ASSERT(expected <= region.size());
 }
 
-void BulkSink::deposit(size_t offset, util::ConstBytes data) {
-  NMAD_ASSERT_MSG(offset + data.size() <= region_.size(),
-                  "bulk deposit outside sink region");
-  util::copy_bytes(region_.subspan(offset, data.size()), data);
-  note_deposited(offset, data.size());
-}
-
 void BulkSink::note_deposited(size_t offset, size_t len) {
   NMAD_ASSERT_MSG(offset + len <= region_.size(),
                   "bulk deposit outside sink region");

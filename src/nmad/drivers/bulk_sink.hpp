@@ -46,9 +46,6 @@ class BulkSink {
   // reliability layer acks each slice it hears, even retransmitted ones.
   void set_on_deposit(DepositFn fn) { on_deposit_ = std::move(fn); }
 
-  // Copies `data` into the region at `offset` and accounts it.
-  void deposit(size_t offset, util::ConstBytes data);
-
   // Accounts a slice a driver already placed in the region (zero-copy
   // transports and the simulated NIC's direct writes).
   void note_deposited(size_t offset, size_t len);

@@ -112,11 +112,6 @@ class Driver {
   virtual void set_bulk_rx_handler(BulkRxHandler handler) {
     (void)handler;
   }
-
-  // Drives any driver-internal progress. The simulated drivers are fully
-  // event-driven and need no polling; a production driver would reap
-  // completion queues here.
-  virtual void poll() = 0;
 };
 
 }  // namespace nmad::drivers

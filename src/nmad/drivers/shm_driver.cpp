@@ -10,6 +10,10 @@ namespace nmad::drivers {
 
 namespace {
 
+// Frames per directed endpoint pair (a power of two). The engine keeps one
+// packet in flight per rail, so a ring never holds more than one frame.
+constexpr size_t kRingSlots = 64;
+
 double elapsed_us(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - since)
@@ -22,15 +26,11 @@ double elapsed_us(std::chrono::steady_clock::time_point since) {
 // ShmHub
 // ---------------------------------------------------------------------------
 
-ShmHub::ShmHub(size_t endpoints) : ShmHub(endpoints, Options{}) {}
-
-ShmHub::ShmHub(size_t endpoints, Options options)
-    : options_(options), n_(endpoints) {
+ShmHub::ShmHub(size_t endpoints) : n_(endpoints) {
   NMAD_ASSERT_MSG(endpoints >= 2, "shm hub needs at least two endpoints");
   rings_.reserve(n_ * n_);
   for (size_t i = 0; i < n_ * n_; ++i) {
-    rings_.push_back(
-        std::make_unique<util::SpscRing<ShmFrame>>(options_.ring_slots));
+    rings_.push_back(std::make_unique<util::SpscRing<ShmFrame>>(kRingSlots));
   }
   tokens_.reserve(n_);
   sinks_.reserve(n_);
@@ -104,8 +104,9 @@ ShmDriver::ShmDriver(ShmHub& hub, PeerAddr self, runtime::IExecLock& exec)
   caps_.supports_rdma = true;  // bulk slices land straight in the region
   caps_.max_packet_bytes = sizeof(ShmFrame::payload);
   caps_.rdv_threshold = caps_.max_packet_bytes;
-  caps_.latency_us = hub.options().latency_us;
-  caps_.bandwidth_mbps = hub.options().bandwidth_mbps;
+  // Nominal figures until init() self-measures real ones.
+  caps_.latency_us = 1.0;
+  caps_.bandwidth_mbps = 4000.0;
 }
 
 ShmDriver::~ShmDriver() { shutdown(); }

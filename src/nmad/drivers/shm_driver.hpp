@@ -63,18 +63,9 @@ struct ShmFrame {
 
 class ShmHub {
  public:
-  struct Options {
-    size_t ring_slots = 64;  // frames per directed pair (power of two)
-    // Nominal figures reported before init() self-measures real ones.
-    double latency_us = 1.0;
-    double bandwidth_mbps = 4000.0;
-  };
-
   explicit ShmHub(size_t endpoints);
-  ShmHub(size_t endpoints, Options options);
 
   [[nodiscard]] size_t endpoint_count() const { return sinks_.size(); }
-  [[nodiscard]] const Options& options() const { return options_; }
 
   [[nodiscard]] util::SpscRing<ShmFrame>& ring(PeerAddr from, PeerAddr to);
 
@@ -98,7 +89,6 @@ class ShmHub {
     std::map<uint64_t, BulkSink*> sinks;
   };
 
-  Options options_;
   size_t n_;
   // [from * n_ + to]; unique_ptr because rings are not movable.
   std::vector<std::unique_ptr<util::SpscRing<ShmFrame>>> rings_;
@@ -135,9 +125,6 @@ class ShmDriver final : public Driver {
   void set_rx_handler(RxHandler handler) override;
   void set_bulk_orphan_handler(BulkOrphanHandler handler) override;
   void set_bulk_rx_handler(BulkRxHandler handler) override;
-
-  // Progress lives on the pump thread; poll is a no-op.
-  void poll() override {}
 
  private:
   static constexpr uint8_t kTxIdle = 0;

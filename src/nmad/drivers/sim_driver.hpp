@@ -47,7 +47,6 @@ class SimDriver final : public Driver {
   void set_rx_handler(RxHandler handler) override;
   void set_bulk_orphan_handler(BulkOrphanHandler handler) override;
   void set_bulk_rx_handler(BulkRxHandler handler) override;
-  void poll() override {}  // fully event-driven
 
   [[nodiscard]] simnet::SimNic& nic() { return nic_; }
 

@@ -53,15 +53,28 @@ struct TimerStats {
   size_t slot_capacity = 0;      // generation-stamped cancel slots
 };
 
+// The points where the engine spends its own software time: what §5.1
+// measures as the < 0.5 µs MAD-MPI overhead (the extra header plus the
+// scheduler inspecting the ready list). The engine names the point; the
+// runtime prices it.
+enum class Cost : uint8_t {
+  kSubmit,       // collect layer, per isend/irecv
+  kSubmitChunk,  // schedule layer, per chunk registered
+  kElect,        // optimizer, per packet election
+  kParsePacket,  // receive path, per packet
+  kParseChunk,   // receive path, per chunk
+};
+inline constexpr size_t kCostCount = 5;
+
 // Modelled host CPU cost. The simulation charges virtual time against the
-// node's CpuModel (submit overheads, eager-copy memcpys); wall-clock
-// runtimes charge nothing — the host really does the work. `charge*`
-// returns the completion time of the charged work in runtime time, so
-// callers can schedule continuations "when the memcpy finishes".
+// node's CpuModel (cost points, eager-copy memcpys); wall-clock runtimes
+// charge nothing — the host really does the work. `charge_memcpy`
+// returns the completion time of the copy in runtime time, so callers
+// can schedule continuations "when the memcpy finishes".
 class ICpuCharge {
  public:
   virtual ~ICpuCharge() = default;
-  virtual double charge(double us) = 0;
+  virtual void charge(Cost cost) = 0;
   virtual double charge_memcpy(size_t bytes) = 0;
 };
 

@@ -8,6 +8,7 @@
 // the seam existed. Any behavioral divergence here is a bug.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "nmad/runtime/runtime.hpp"
@@ -68,11 +69,23 @@ class SimRuntime final : public IRuntime, public IExecLock {
   [[nodiscard]] simnet::SimNode& node() { return node_; }
 
  private:
+  // Virtual µs per Cost point, in enum order: the engine's software
+  // costs as modelled for the paper's 2006 hosts.
+  static constexpr std::array<double, kCostCount> kCostUs = {
+      0.10,  // kSubmit
+      0.03,  // kSubmitChunk
+      0.40,  // kElect
+      0.20,  // kParsePacket
+      0.05,  // kParseChunk
+  };
+
   // Forwards host-cost charges to the node's CpuModel (virtual time).
   class CpuAdapter final : public ICpuCharge {
    public:
     explicit CpuAdapter(simnet::SimNode& node) : node_(node) {}
-    double charge(double us) override { return node_.cpu().charge(us); }
+    void charge(Cost cost) override {
+      node_.cpu().charge(kCostUs[static_cast<size_t>(cost)]);
+    }
     double charge_memcpy(size_t bytes) override {
       return node_.cpu().charge_memcpy(bytes);
     }

@@ -6,11 +6,11 @@
 // provides the exec lock (IExecLock) that serializes every entry into
 // the engine: the timer thread fires callbacks under it, driver rx
 // threads deliver under it, and the application thread wraps its
-// isend/irecv/poll calls in it. The engine itself stays single-threaded
+// isend/irecv/wait calls in it. The engine itself stays single-threaded
 // by contract — exactly one thread is ever inside a Core.
 //
-// Host cost modelling is a no-op here: the host really performs the
-// memcpys, so charge()/charge_memcpy() just return the current time.
+// Host cost modelling is a no-op here: the host really does the work, so
+// charge() records nothing and charge_memcpy() returns the current time.
 #pragma once
 
 #include <atomic>
@@ -75,7 +75,7 @@ class WallClockRuntime final : public IRuntime, public IExecLock {
   class NullCpu final : public ICpuCharge {
    public:
     explicit NullCpu(WallClockRuntime& rt) : rt_(rt) {}
-    double charge(double) override { return rt_.now_us(); }
+    void charge(Cost) override {}
     double charge_memcpy(size_t) override { return rt_.now_us(); }
 
    private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "util/assert.hpp"
 
@@ -26,8 +25,6 @@ double RunningStats::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
 }
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double SampleSet::mean() const {
   if (samples_.empty()) return 0.0;

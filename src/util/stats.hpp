@@ -15,7 +15,6 @@ class RunningStats {
   [[nodiscard]] size_t count() const { return count_; }
   [[nodiscard]] double mean() const { return count_ ? mean_ : 0.0; }
   [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return sum_; }

@@ -707,11 +707,12 @@ class Runner {
     for (simnet::NodeId n = 0; n < cluster_->node_count(); ++n) {
       const core::Core& c = cluster_->core(n);
       const core::CoreStats& s = c.stats();
-      result.ev_elected += s.ev_elected;
-      result.ev_packet_built += s.ev_packet_built;
-      result.ev_wire_tx += s.ev_wire_tx;
-      result.ev_wire_rx += s.ev_wire_rx;
-      result.ev_acked += s.ev_acked;
+      const core::EventBus& bus = c.bus();
+      result.ev_elected += bus.count(core::EventKind::kElected);
+      result.ev_packet_built += bus.count(core::EventKind::kPacketBuilt);
+      result.ev_wire_tx += bus.count(core::EventKind::kWireTx);
+      result.ev_wire_rx += bus.count(core::EventKind::kWireRx);
+      result.ev_acked += bus.count(core::EventKind::kAcked);
       result.spray_sends += s.spray_sends;
       result.spray_frags_tx += s.spray_frags_tx;
       result.spray_frags_rx += s.spray_frags_rx;

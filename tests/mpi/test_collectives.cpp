@@ -1,9 +1,11 @@
 // Split-phase collectives over every stack, several cluster sizes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "baseline/stack.hpp"
@@ -16,10 +18,15 @@ using baseline::MpiStack;
 using baseline::StackImpl;
 using baseline::StackOptions;
 
+// gtest prints this parameter's raw bytes into the ctest name, so the
+// four bytes after `impl` are a field that is always zero, not padding.
 struct Case {
+  Case(StackImpl i, size_t n) : impl(i), nodes(n) {}
   StackImpl impl;
+  uint32_t zero = 0;
   size_t nodes;
 };
+static_assert(std::has_unique_object_representations_v<Case>);
 
 class Collectives : public ::testing::TestWithParam<Case> {
  protected:

@@ -3,7 +3,11 @@
 // sizes spanning eager and rendezvous, contiguous and derived datatypes.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "baseline/stack.hpp"
@@ -18,10 +22,20 @@ using baseline::StackOptions;
 using mpi::Datatype;
 using mpi::kCommWorld;
 
+// gtest prints this parameter's raw bytes into the ctest name, so every
+// byte of it is defined: the four after `impl` are a field that is always
+// zero, not padding, and the network name is held inline and zero-filled,
+// not behind a pointer.
 struct StackCase {
+  StackCase(StackImpl i, std::string_view n) : impl(i) {
+    n.copy(net_buf.data(), net_buf.size() - 1);
+  }
+  std::string net() const { return net_buf.data(); }
   StackImpl impl;
-  std::string net;
+  uint32_t zero = 0;
+  std::array<char, 32> net_buf{};
 };
+static_assert(std::has_unique_object_representations_v<StackCase>);
 
 class StackPingPong
     : public ::testing::TestWithParam<std::tuple<StackCase, size_t>> {};
@@ -29,7 +43,7 @@ class StackPingPong
 std::string case_name(
     const ::testing::TestParamInfo<std::tuple<StackCase, size_t>>& info) {
   const auto& [sc, size] = info.param;
-  return std::string(stack_impl_name(sc.impl)) + "_" + sc.net + "_" +
+  return std::string(stack_impl_name(sc.impl)) + "_" + sc.net() + "_" +
          std::to_string(size);
 }
 
@@ -37,7 +51,7 @@ MpiStack make_stack(const StackCase& sc) {
   StackOptions options;
   options.impl = sc.impl;
   simnet::NicProfile nic;
-  EXPECT_TRUE(simnet::nic_profile_by_name(sc.net, &nic));
+  EXPECT_TRUE(simnet::nic_profile_by_name(sc.net(), &nic));
   options.nic = nic;
   return MpiStack(std::move(options));
 }
@@ -138,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(
                       StackCase{StackImpl::kMpich, "quadrics"}),
     [](const ::testing::TestParamInfo<StackCase>& info) {
       return std::string(stack_impl_name(info.param.impl)) + "_" +
-             info.param.net;
+             info.param.net();
     });
 
 TEST(StackCommunicators, SeparateContextsDoNotCrossMatch) {

@@ -31,8 +31,7 @@ TEST(EventBus, DeliversSynchronouslyInSubscriptionOrder) {
   simnet::Fabric fabric(world);
   fabric.add_node(simnet::opteron_2006_profile());
   runtime::SimRuntime rt(world, fabric.node(0));
-  CoreStats stats;
-  EventBus bus(rt, &stats);
+  EventBus bus(rt);
 
   std::vector<int> order;
   bus.subscribe(EventKind::kElected, [&](const Event&) { order.push_back(1); });
@@ -46,9 +45,9 @@ TEST(EventBus, DeliversSynchronouslyInSubscriptionOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 
   EXPECT_EQ(bus.published(), 2u);
-  EXPECT_EQ(stats.ev_elected, 1u);
-  EXPECT_EQ(stats.ev_acked, 1u);
-  EXPECT_EQ(stats.ev_wire_tx, 0u);
+  EXPECT_EQ(bus.count(EventKind::kElected), 1u);
+  EXPECT_EQ(bus.count(EventKind::kAcked), 1u);
+  EXPECT_EQ(bus.count(EventKind::kWireTx), 0u);
 }
 
 TEST(EventBus, StampsVirtualTimeAndKeepsOperands) {
@@ -56,8 +55,7 @@ TEST(EventBus, StampsVirtualTimeAndKeepsOperands) {
   simnet::Fabric fabric(world);
   fabric.add_node(simnet::opteron_2006_profile());
   runtime::SimRuntime rt(world, fabric.node(0));
-  CoreStats stats;
-  EventBus bus(rt, &stats);
+  EventBus bus(rt);
   world.at(12.5, [&] {
     bus.publish({.kind = EventKind::kWireTx, .gate = 3, .rail = 1,
                  .seq = 9, .a = 1024, .b = 2});
@@ -79,8 +77,7 @@ TEST(EventBus, TraceRingKeepsNewestOldestFirst) {
   simnet::Fabric fabric(world);
   fabric.add_node(simnet::opteron_2006_profile());
   runtime::SimRuntime rt(world, fabric.node(0));
-  CoreStats stats;
-  EventBus bus(rt, &stats, /*trace_capacity=*/4);
+  EventBus bus(rt, /*trace_capacity=*/4);
   for (uint64_t i = 0; i < 10; ++i) {
     bus.publish({.kind = EventKind::kPacketBuilt, .a = i});
   }
@@ -268,7 +265,7 @@ TEST(TransferEngine, KillAndReviveWalkTheHealthLifecycle) {
   EXPECT_EQ(static_cast<RailHealth>(seen[1].a), RailHealth::kDead);
   EXPECT_EQ(static_cast<RailHealth>(seen[1].b), RailHealth::kAlive);
 
-  EXPECT_EQ(a.stats().ev_health_transition, 2u);
+  EXPECT_EQ(a.bus().count(EventKind::kHealthTransition), 2u);
   EXPECT_EQ(a.stats().rails_failed, 1u);
   EXPECT_EQ(a.stats().rails_revived, 1u);
   while (cluster.world().run_one()) {
@@ -318,18 +315,21 @@ TEST(EventBus, TraceCapturesCompleteLifecycle) {
   EXPECT_LE(tx, rx);
   EXPECT_LT(rx, acked);
 
-  EXPECT_GE(a.stats().ev_elected, 1u);
-  EXPECT_GE(a.stats().ev_packet_built, 1u);
-  EXPECT_GE(a.stats().ev_wire_tx, 1u);
-  EXPECT_GE(b.stats().ev_wire_rx, 1u);
-  EXPECT_GE(a.stats().ev_acked, 1u);
+  EXPECT_GE(a.bus().count(EventKind::kElected), 1u);
+  EXPECT_GE(a.bus().count(EventKind::kPacketBuilt), 1u);
+  EXPECT_GE(a.bus().count(EventKind::kWireTx), 1u);
+  EXPECT_GE(b.bus().count(EventKind::kWireRx), 1u);
+  EXPECT_GE(a.bus().count(EventKind::kAcked), 1u);
 
   // The engine dump ends with the same trace, rendered.
   std::ostringstream dump;
   a.debug_dump(dump);
   EXPECT_NE(dump.str().find("events:"), std::string::npos);
+  // The counter line names every kind, the last one included.
+  EXPECT_NE(dump.str().find(" peer-rejoined=0"), std::string::npos);
   EXPECT_NE(dump.str().find("trace (last"), std::string::npos);
-  EXPECT_NE(dump.str().find("wire-tx"), std::string::npos);
+  // A rendered trace entry, not the "wire-tx=" counter above.
+  EXPECT_NE(dump.str().find("] wire-tx "), std::string::npos);
 
   a.release(send);
   b.release(recv);
