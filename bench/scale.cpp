@@ -5,7 +5,7 @@
 // events/sec through the scheduler. Three sections:
 //
 //   1. queue micro — the calendar queue vs ReferenceHeapQueue (the old
-//      std::priority_queue implementation, kept verbatim) on identical
+//      std::priority_queue implementation) on identical
 //      deterministic op streams, at pending-set sizes matching 4-, 64-
 //      and 1k-rank populations. Two shapes: "hold" (pop one, push one —
 //      no cancels) and "churn" (the reliability ack-timer shape: 95% of
@@ -28,9 +28,9 @@
 #include <vector>
 
 #include "nmad/api/session.hpp"
-#include "simnet/event_queue.hpp"
 #include "util/buffer.hpp"
 #include "util/cli.hpp"
+#include "util/event_queue.hpp"
 #include "util/inline_fn.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -39,10 +39,10 @@
 namespace {
 
 using namespace nmad;
-using simnet::EventId;
-using simnet::EventQueue;
-using simnet::ReferenceHeapQueue;
 using simnet::SimTime;
+using util::EventId;
+using util::EventQueue;
+using util::ReferenceHeapQueue;
 
 double wall_seconds(const std::chrono::steady_clock::time_point& t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -288,7 +288,8 @@ EndToEndRow run_soak(double soak_us) {
   constexpr size_t kRanks = 64;
   constexpr size_t kBytes = 1024;
   EndToEndRow row{"soak_rotating_exchange", kRanks};
-  api::Cluster cluster(api::ClusterOptions{.nodes = kRanks});
+  api::Cluster cluster(
+      api::ClusterOptions{.nodes = kRanks, .rails = {}, .core = {}});
   std::vector<std::byte> out(kBytes);
   std::vector<std::byte> in(kRanks * kBytes);
   util::fill_pattern({out.data(), out.size()}, 13);

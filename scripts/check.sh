@@ -97,10 +97,13 @@ echo "seam lint: OK"
 
 BUILD_DIR=${BUILD_DIR:-build-asan}
 
-cmake -B "$BUILD_DIR" -S . -DNMAD_SANITIZE=ON \
+# -Werror as in CI; detect_stack_use_after_return catches a list or
+# pointer that outlives the stack frame of what it points at.
+cmake -B "$BUILD_DIR" -S . -DNMAD_SANITIZE=ON -DNMAD_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)"
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
+ASAN_OPTIONS=detect_stack_use_after_return=1 \
+  ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
 # Library split: nmad_core is the engine alone and must link no simulator
 # code. The include lint above also catches header-only uses, which leave
@@ -112,14 +115,14 @@ if grep 'simnet::' <<<"$core_undefined"; then
 fi
 echo "library split: nmad_core links no simnet symbol"
 
-# Thread tier: the wall-clock stack (rings, timer wheel + pump thread,
-# shm driver with its per-endpoint pump threads) rebuilt under TSan and
-# run alone — the virtual-clock tests are single-threaded by design, so
-# only the threaded targets pay the ~10x TSan tax.
+# Thread tier: the wall-clock stack (rings, the runtime's timer queue and
+# pump thread, shm driver with its per-endpoint pump threads) rebuilt
+# under TSan and run alone — the virtual-clock tests are single-threaded
+# by design, so only the threaded targets pay the ~10x TSan tax.
 TSAN_DIR=${TSAN_DIR:-build-tsan}
-cmake -B "$TSAN_DIR" -S . -DNMAD_SANITIZE=thread \
+cmake -B "$TSAN_DIR" -S . -DNMAD_SANITIZE=thread -DNMAD_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_DIR" -j"$(nproc)" \
-  --target test_ring test_timer_wheel test_wall_shm
+  --target test_ring test_wallclock_runtime test_wall_shm
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j"$(nproc)" \
-  -R 'SpscRing|MpscRing|TimerWheel|WallClockRuntime|WallShm'
+  -R 'SpscRing|MpscRing|WallClockRuntime|WallShm'

@@ -68,7 +68,7 @@ void Cluster::ensure_gate(simnet::NodeId from, simnet::NodeId to) {
   NMAD_ASSERT(from < gates_.size() && to < gates_.size() && from != to);
   // Both directions: a one-way opening would leave the peer unable to
   // route the return traffic (acks, credits, CTS) this gate generates.
-  for (const auto [a, b] : {std::pair{from, to}, std::pair{to, from}}) {
+  for (const auto& [a, b] : {std::pair{from, to}, std::pair{to, from}}) {
     if (gates_[a][b] != core::kNoGate) continue;
     auto gate = cores_[a]->connect(static_cast<drivers::PeerAddr>(b));
     NMAD_ASSERT_MSG(gate.has_value(), "gate open failed");

@@ -116,7 +116,7 @@ void ScheduleLayer::submit_rdv(Gate& gate, SendRequest* req, Tag tag,
 
   OutChunk* rts = ctx_.chunk_pool.acquire();
   rts->kind = ChunkKind::kRts;
-  rts->flags = job->spray ? kFlagSpray : uint8_t{0};
+  rts->flags = job->spray ? kFlagSpray : kFlagNone;
   rts->tag = tag;
   rts->seq = seq;
   rts->offset = static_cast<uint32_t>(logical_offset);

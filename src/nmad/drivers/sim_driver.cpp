@@ -34,7 +34,7 @@ bool SimDriver::tx_idle() const {
   return open_ && !pending_tx_ && nic_.tx_idle();
 }
 
-void SimDriver::when_cpu_free(simnet::EventFn fn) {
+void SimDriver::when_cpu_free(util::EventFn fn) {
   const simnet::SimTime free_at = node_.cpu().free_at();
   if (free_at <= world_.now()) {
     fn();

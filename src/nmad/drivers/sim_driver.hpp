@@ -52,7 +52,7 @@ class SimDriver final : public Driver {
 
  private:
   // Runs `fn` as soon as the host CPU is free (possibly immediately).
-  void when_cpu_free(simnet::EventFn fn);
+  void when_cpu_free(util::EventFn fn);
   // Stages `segments` into the member frame buffer and returns the wire
   // segment count after the gather-capability check (charging the bounce
   // copy when the NIC cannot gather).

@@ -6,12 +6,14 @@
 // the current time, arms cancellable timers, defers work off the current
 // stack, and charges modelled host CPU cost. Two implementations exist:
 //
-//  - SimRuntime: a pass-through adapter over the simnet calendar queue.
+//  - SimRuntime: a pass-through adapter over the SimWorld event loop.
 //    Byte-identical to the engine calling SimWorld directly — same
 //    schedule-call sequence, same generation-stamped ids, same replay of
 //    every seed and BENCH artifact.
-//  - WallClockRuntime: steady_clock time plus a timer wheel pumped by a
+//  - WallClockRuntime: steady_clock time plus a timer queue pumped by a
 //    progress thread, for real transports (the shm driver).
+//
+// Both keep their timers in the same calendar queue (util/event_queue).
 //
 // Nothing in this header may depend on simnet: this is the line that
 // keeps `src/nmad/core/` simulation-free (lint-enforced in check.sh).
@@ -20,38 +22,25 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "util/inline_fn.hpp"
+#include "util/event_queue.hpp"
 
 namespace nmad::runtime {
 
-// Cancellable-timer handle. Generation-stamped by both implementations
-// (slot index + generation), so a stale cancel — the timer already fired,
-// was cancelled, or its slot was recycled — is fenced instead of hitting
-// a neighbour. 0 is never a valid id.
-using TimerId = uint64_t;
+// Cancellable-timer handle: the queue's generation-stamped EventId (slot
+// index + generation), so a stale cancel — the timer already fired, was
+// cancelled, or its slot was recycled — is fenced instead of hitting a
+// neighbour. 0 is never a valid id.
+using TimerId = util::EventId;
 
-// 64 inline bytes cover every engine timer lambda (the sim event queue
-// uses the same bound); larger captures spill to the heap and bump
-// util::inline_fn_heap_allocs() for the allocation-regression tests.
-using TimerFn = util::InlineFunction<64>;
+// 64 inline bytes cover every engine timer lambda; larger captures spill
+// to the heap and bump util::inline_fn_heap_allocs() for the
+// allocation-regression tests.
+using TimerFn = util::EventFn;
 
-// Timer-subsystem counters surfaced through Core::AllocStats. The
-// capacity fields only grow while the implementation warms up; a flat
-// snapshot across a steady-state phase proves the timer hot path
-// allocated nothing. Field-for-field the sim event queue's Stats, so the
-// existing regression tests carry over unchanged.
-struct TimerStats {
-  uint64_t scheduled = 0;
-  uint64_t executed = 0;
-  uint64_t cancelled = 0;
-  uint64_t resizes = 0;          // bucket-array rebuilds
-  uint64_t direct_searches = 0;  // scans that fell through to a search
-  size_t buckets = 0;            // current bucket-array size
-  size_t pending = 0;            // live (non-cancelled) timers
-  size_t node_capacity = 0;      // slab-backed timer nodes
-  size_t node_slabs = 0;
-  size_t slot_capacity = 0;      // generation-stamped cancel slots
-};
+// Timer-queue counters surfaced through Core::AllocStats. The capacity
+// fields only grow while the queue warms up; a flat snapshot across a
+// steady-state phase proves the timer hot path allocated nothing.
+using TimerStats = util::EventQueue::Stats;
 
 // The points where the engine spends its own software time: what §5.1
 // measures as the < 0.5 µs MAD-MPI overhead (the extra header plus the

@@ -44,19 +44,7 @@ class SimRuntime final : public IRuntime, public IExecLock {
   [[nodiscard]] ICpuCharge& cpu() override { return cpu_; }
 
   [[nodiscard]] TimerStats timer_stats() const override {
-    const simnet::EventQueue::Stats qs = world_.queue_stats();
-    TimerStats ts;
-    ts.scheduled = qs.scheduled;
-    ts.executed = qs.executed;
-    ts.cancelled = qs.cancelled;
-    ts.resizes = qs.resizes;
-    ts.direct_searches = qs.direct_searches;
-    ts.buckets = qs.buckets;
-    ts.pending = qs.pending;
-    ts.node_capacity = qs.node_capacity;
-    ts.node_slabs = qs.node_slabs;
-    ts.slot_capacity = qs.slot_capacity;
-    return ts;
+    return world_.queue_stats();
   }
 
   bool advance() override { return world_.run_one(); }

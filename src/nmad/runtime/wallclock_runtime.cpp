@@ -7,9 +7,7 @@ namespace nmad::runtime {
 WallClockRuntime::WallClockRuntime(Options options)
     : epoch_(std::chrono::steady_clock::now()),
       local_id_(options.local_id),
-      incarnation_(options.incarnation),
-      cpu_(*this),
-      wheel_(options.tick_us) {
+      cpu_(*this) {
   if (options.background_thread) {
     pump_thread_ = std::thread([this] { pump(); });
   }
@@ -18,10 +16,10 @@ WallClockRuntime::WallClockRuntime(Options options)
 WallClockRuntime::~WallClockRuntime() {
   stop_.store(true, std::memory_order_release);
   {
-    // The pump waits on the cv with the wheel lock held; taking it here
+    // The pump waits on the cv with the timer lock held; taking it here
     // orders the stop flag before the notify, so the wakeup is not lost.
-    std::lock_guard<std::mutex> wl(wheel_mu_);
-    wheel_cv_.notify_all();
+    std::lock_guard<std::mutex> wl(timers_mu_);
+    timers_cv_.notify_all();
   }
   if (pump_thread_.joinable()) pump_thread_.join();
 }
@@ -34,9 +32,9 @@ double WallClockRuntime::now_us() const {
 TimerId WallClockRuntime::schedule_at(double at_us, TimerFn fn) {
   TimerId id;
   {
-    std::lock_guard<std::mutex> wl(wheel_mu_);
-    id = wheel_.schedule_at(std::max(at_us, 0.0), std::move(fn));
-    wheel_cv_.notify_all();  // a new deadline may be the earliest
+    std::lock_guard<std::mutex> wl(timers_mu_);
+    id = timers_.schedule_at(std::max(at_us, 0.0), std::move(fn));
+    timers_cv_.notify_all();  // a new deadline may be the earliest
   }
   return id;
 }
@@ -51,26 +49,26 @@ void WallClockRuntime::defer(TimerFn fn) {
 }
 
 void WallClockRuntime::cancel(TimerId id) {
-  std::lock_guard<std::mutex> wl(wheel_mu_);
-  wheel_.cancel(id);
+  std::lock_guard<std::mutex> wl(timers_mu_);
+  timers_.cancel(id);
 }
 
 TimerStats WallClockRuntime::timer_stats() const {
-  std::lock_guard<std::mutex> wl(wheel_mu_);
-  return wheel_.stats();
+  std::lock_guard<std::mutex> wl(timers_mu_);
+  return timers_.stats();
 }
 
 size_t WallClockRuntime::poll_timers() {
   size_t fired = 0;
-  // Exec first, wheel second — the lock order every thread uses. Holding
+  // Exec first, timers second — the lock order every thread uses. Holding
   // exec across the whole batch gives sim-equivalent cancel semantics: a
   // callback cancelling a not-yet-fired due timer really stops it.
   std::lock_guard<std::mutex> eg(exec_mu_);
   for (;;) {
     TimerFn fn;
     {
-      std::lock_guard<std::mutex> wl(wheel_mu_);
-      if (!wheel_.pop_due(now_us(), &fn)) break;
+      std::lock_guard<std::mutex> wl(timers_mu_);
+      if (!timers_.pop_due(now_us(), &fn)) break;
     }
     fn();
     ++fired;
@@ -89,15 +87,15 @@ bool WallClockRuntime::advance() {
 }
 
 void WallClockRuntime::pump() {
-  std::unique_lock<std::mutex> wl(wheel_mu_);
+  std::unique_lock<std::mutex> wl(timers_mu_);
   while (!stop_.load(std::memory_order_acquire)) {
-    const double next = wheel_.next_deadline();
+    const double next = timers_.next_time();
     const double now = now_us();
     if (next > now) {
       // Sleep until the earliest deadline (capped so shutdown and
       // far-future timers stay responsive) or a new timer arrives.
       const double wait_us = std::min(next - now, 1000.0);
-      wheel_cv_.wait_for(
+      timers_cv_.wait_for(
           wl, std::chrono::duration<double, std::micro>(wait_us));
       continue;
     }

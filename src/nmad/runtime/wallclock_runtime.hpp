@@ -1,13 +1,14 @@
 // WallClockRuntime: real time for real transports.
 //
 // now_us() is steady_clock microseconds since construction; timers live
-// in a hashed TimerWheel pumped by a background progress thread. Because
-// real drivers deliver from their own pump threads, the runtime also
-// provides the exec lock (IExecLock) that serializes every entry into
-// the engine: the timer thread fires callbacks under it, driver rx
-// threads deliver under it, and the application thread wraps its
-// isend/irecv/wait calls in it. The engine itself stays single-threaded
-// by contract — exactly one thread is ever inside a Core.
+// in the calendar queue the simulator runs on (util::EventQueue), pumped
+// by a background progress thread. Because real drivers deliver from
+// their own pump threads, the runtime also provides the exec lock
+// (IExecLock) that serializes every entry into the engine: the timer
+// thread fires callbacks under it, driver rx threads deliver under it,
+// and the application thread wraps its isend/irecv/wait calls in it.
+// The engine itself stays single-threaded by contract — exactly one
+// thread is ever inside a Core.
 //
 // Host cost modelling is a no-op here: the host really does the work, so
 // charge() records nothing and charge_memcpy() returns the current time.
@@ -21,19 +22,17 @@
 #include <thread>
 
 #include "nmad/runtime/runtime.hpp"
-#include "nmad/runtime/timer_wheel.hpp"
+#include "util/event_queue.hpp"
 
 namespace nmad::runtime {
 
 class WallClockRuntime final : public IRuntime, public IExecLock {
  public:
   struct Options {
-    double tick_us = 50.0;  // timer-wheel bucket width
     // Without the thread the owner pumps poll_timers() itself —
     // deterministic single-threaded mode for tests.
     bool background_thread = true;
     uint32_t local_id = 0;
-    uint32_t incarnation = 0;
   };
 
   WallClockRuntime() : WallClockRuntime(Options{}) {}
@@ -50,12 +49,11 @@ class WallClockRuntime final : public IRuntime, public IExecLock {
   void defer(TimerFn fn) override;
   void cancel(TimerId id) override;
   [[nodiscard]] uint32_t local_id() const override { return local_id_; }
-  [[nodiscard]] uint32_t incarnation() const override {
-    return incarnation_;
-  }
+  // A wall endpoint is never restarted in place: it lives once.
+  [[nodiscard]] uint32_t incarnation() const override { return 0; }
   [[nodiscard]] ICpuCharge& cpu() override { return cpu_; }
   [[nodiscard]] TimerStats timer_stats() const override;
-  // Real time passes on its own: briefly yield (or pump the wheel in
+  // Real time passes on its own: briefly yield (or pump the timers in
   // threadless mode) and report "maybe more progress". Callers bound
   // their waits with deadlines, not with this return value.
   bool advance() override;
@@ -84,12 +82,11 @@ class WallClockRuntime final : public IRuntime, public IExecLock {
 
   const std::chrono::steady_clock::time_point epoch_;
   const uint32_t local_id_;
-  const uint32_t incarnation_;
   NullCpu cpu_;
 
-  mutable std::mutex wheel_mu_;  // guards wheel_ (and the cv below)
-  TimerWheel wheel_;
-  std::condition_variable wheel_cv_;
+  mutable std::mutex timers_mu_;  // guards timers_ (and the cv below)
+  util::EventQueue timers_;
+  std::condition_variable timers_cv_;
 
   std::mutex exec_mu_;  // serializes all engine entry (see header)
 

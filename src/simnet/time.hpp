@@ -9,8 +9,6 @@ namespace nmad::simnet {
 
 using SimTime = double;  // microseconds since simulation start
 
-inline constexpr SimTime kNever = 1e300;
-
 // Converts MB/s (decimal megabytes, as NIC datasheets quote) to µs/byte.
 inline constexpr double us_per_byte(double mega_bytes_per_second) {
   return 1.0 / mega_bytes_per_second;  // 1 byte / (MB/s) == 1e-6 s / MB == 1 µs / MB

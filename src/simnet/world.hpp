@@ -4,8 +4,8 @@
 
 #include <cstdint>
 
-#include "simnet/event_queue.hpp"
 #include "simnet/time.hpp"
+#include "util/event_queue.hpp"
 
 namespace nmad::simnet {
 
@@ -17,14 +17,14 @@ class SimWorld {
 
   [[nodiscard]] SimTime now() const { return now_; }
 
-  EventId at(SimTime when, EventFn fn) {
+  util::EventId at(SimTime when, util::EventFn fn) {
     return queue_.schedule_at(when, std::move(fn));
   }
-  EventId after(SimTime delay, EventFn fn) {
+  util::EventId after(SimTime delay, util::EventFn fn) {
     NMAD_ASSERT_MSG(delay >= 0.0, "negative delay");
     return queue_.schedule_at(now_ + delay, std::move(fn));
   }
-  void cancel(EventId id) { queue_.cancel(id); }
+  void cancel(util::EventId id) { queue_.cancel(id); }
 
   // Runs the next pending event; false when the simulation is quiescent.
   bool run_one() { return queue_.run_one(&now_); }
@@ -47,13 +47,13 @@ class SimWorld {
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] size_t pending_events() const { return queue_.size(); }
-  [[nodiscard]] EventQueue::Stats queue_stats() const {
+  [[nodiscard]] util::EventQueue::Stats queue_stats() const {
     return queue_.stats();
   }
 
  private:
   SimTime now_ = 0.0;
-  EventQueue queue_;
+  util::EventQueue queue_;
 };
 
 }  // namespace nmad::simnet

@@ -1,10 +1,10 @@
-#include "simnet/event_queue.hpp"
+#include "util/event_queue.hpp"
 
 #include <algorithm>
 #include <array>
 #include <bit>
 
-namespace nmad::simnet {
+namespace nmad::util {
 
 EventQueue::EventQueue() {
   buckets_.assign(kMinBuckets, nullptr);
@@ -173,7 +173,7 @@ void EventQueue::resize(size_t want_buckets) {
   ++resizes_;
 }
 
-EventId EventQueue::schedule_at(SimTime at, EventFn fn) {
+EventId EventQueue::schedule_at(double at, EventFn fn) {
   NMAD_ASSERT_MSG(at >= 0.0, "event scheduled before time zero");
   if (nodes_outstanding_ + 1 > buckets_.size() * 2) {
     resize(buckets_.size() * 2);
@@ -203,12 +203,12 @@ EventId EventQueue::schedule_at(SimTime at, EventFn fn) {
   return (static_cast<EventId>(slots_[slot].gen) << 32) | slot;
 }
 
-void EventQueue::cancel(EventId id) {
+bool EventQueue::cancel(EventId id) {
   const auto slot = static_cast<uint32_t>(id & 0xFFFFFFFFu);
   const auto gen = static_cast<uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return;
+  if (slot >= slots_.size()) return false;
   SlotRec& rec = slots_[slot];
-  if (rec.gen != gen || rec.node == nullptr) return;  // fired/stale/dup
+  if (rec.gen != gen || rec.node == nullptr) return false;  // fired/stale/dup
   Node* node = rec.node;
   node->cancelled = true;
   node->fn.reset();  // free captures now; the shell is reaped lazily
@@ -217,14 +217,15 @@ void EventQueue::cancel(EventId id) {
   NMAD_ASSERT(live_ > 0);
   --live_;
   ++cancelled_count_;
+  return true;
 }
 
-SimTime EventQueue::next_time() const {
+double EventQueue::next_time() const {
   if (live_ == 0) return kNever;
   return find_min()->at;
 }
 
-bool EventQueue::run_one(SimTime* now) {
+bool EventQueue::pop_due(double now, EventFn* fn, double* at) {
   if (live_ == 0) return false;
   // Width retune: if the year scan keeps falling through to the linear
   // direct search, the bucket width no longer matches the event spacing
@@ -234,16 +235,26 @@ bool EventQueue::run_one(SimTime* now) {
     resize(buckets_.size());
   }
   Node* node = find_min();
+  if (node->at > now) return false;
   const size_t b = node->vb & mask_;
   NMAD_ASSERT(buckets_[b] == node);
   buckets_[b] = node->next;
   if (buckets_[b] == nullptr) tails_[b] = nullptr;
   retire_slot(node->slot);
-  EventFn fn = std::move(node->fn);
-  const SimTime at = node->at;
+  *fn = std::move(node->fn);
+  if (at != nullptr) *at = node->at;
   release_node(node);
   --live_;
   ++executed_;
+  return true;
+}
+
+bool EventQueue::run_one(double* now) {
+  EventFn fn;
+  double at = 0.0;
+  if (!pop_due(std::numeric_limits<double>::infinity(), &fn, &at)) {
+    return false;
+  }
   NMAD_ASSERT_MSG(at + 1e-9 >= *now, "time went backwards");
   if (at > *now) *now = at;
   fn();
@@ -265,4 +276,4 @@ EventQueue::Stats EventQueue::stats() const {
   return s;
 }
 
-}  // namespace nmad::simnet
+}  // namespace nmad::util

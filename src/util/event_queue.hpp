@@ -1,47 +1,59 @@
-// Priority event queue for the discrete-event engine.
+// Timer queue for both clocks: the simulator's discrete-event loop
+// (SimWorld) and the wall-clock runtime's timers (WallClockRuntime).
 //
-// Ties at the same timestamp are broken by insertion order so simulation
-// runs are fully deterministic regardless of queue internals.
+// Time is a double in µs on whichever clock the owner runs. Ties at the
+// same timestamp are broken by insertion order so simulation runs are
+// fully deterministic regardless of queue internals.
 //
-// The production EventQueue is a Brown-style calendar queue: a
-// power-of-two array of time buckets, each holding a short (at, seq)-
-// sorted list, with a cursor that walks bucket-by-bucket through the
-// current "year". Schedule and pop are O(1) amortized — the bucket array
-// grows to track the pending-event high-water mark (grow-only, like the
-// node slabs, so bursty populations never oscillate the allocator) and
-// the bucket width is re-derived from the observed inter-event gaps on
-// every rebuild — which is what lets one SimWorld carry thousands of
-// ranks. If the workload's time scale shifts and the year scan starts
-// missing, a same-size rebuild retunes the width. cancel() is O(1)
-// through generation-stamped slots (the EventId encodes slot + gen, so a
-// stale or duplicate cancel is fenced instead of corrupting a neighbour);
+// EventQueue is a Brown-style calendar queue: a power-of-two array of
+// time buckets, each holding a short (at, seq)-sorted list, with a
+// cursor that walks bucket-by-bucket through the current "year".
+// Schedule and pop are O(1) amortized — the bucket array grows to track
+// the pending-event high-water mark (grow-only, like the node slabs, so
+// bursty populations never oscillate the allocator) and the bucket width
+// is re-derived from the observed inter-event gaps on every rebuild —
+// which is what lets one SimWorld carry thousands of ranks. If the
+// workload's time scale shifts and the year scan starts missing, a
+// same-size rebuild retunes the width. cancel() is O(1) through
+// generation-stamped slots (the EventId encodes slot + gen, so a stale or
+// duplicate cancel is fenced instead of corrupting a neighbour);
 // cancelled events are skipped lazily when they surface at a bucket head,
 // preserving the old lazy-cancel contract. Event nodes come from
 // grow-only slabs and callbacks are small-buffer InlineFunctions, so the
 // steady-state hot path performs no heap allocation at all.
 //
+// The two clocks pop differently. The simulation runs the earliest event
+// and jumps its clock there (run_one). The wall clock asks for a callback
+// that is due at the current time (pop_due) and runs it after dropping
+// its lock; its deadlines may lie behind the clock, and such an event
+// pulls the year cursor back, so it still pops in (at, insertion) order.
+//
 // ReferenceHeapQueue below keeps the original binary-heap implementation
 // (std::priority_queue + a sorted cancelled-id vector with its O(n)
-// cancel) as the differential-test oracle and the benchmark baseline.
+// cancel) as the differential-test oracle for both clocks and the
+// benchmark baseline.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <vector>
 
-#include "simnet/time.hpp"
 #include "util/assert.hpp"
 #include "util/inline_fn.hpp"
 
-namespace nmad::simnet {
+namespace nmad::util {
 
 // 64 inline bytes cover every hot engine lambda (the largest, SimNic's
 // bulk-delivery closure, measures 56); anything larger spills to the heap
-// and bumps util::inline_fn_heap_allocs() for the regression tests.
-using EventFn = util::InlineFunction<64>;
+// and bumps inline_fn_heap_allocs() for the regression tests.
+using EventFn = InlineFunction<64>;
 using EventId = uint64_t;
+
+// next_time() of an empty queue.
+inline constexpr double kNever = 1e300;
 
 class EventQueue {
  public:
@@ -53,22 +65,28 @@ class EventQueue {
 
   // Schedules `fn` at absolute time `at`. Returns an id usable for
   // cancel(); ids are never zero.
-  EventId schedule_at(SimTime at, EventFn fn);
+  EventId schedule_at(double at, EventFn fn);
 
   // Lazily cancels a pending event (it is skipped when popped). O(1):
   // the id's generation stamp fences ids that already fired, were
-  // already cancelled, or belong to a recycled slot.
-  void cancel(EventId id);
+  // already cancelled, or belong to a recycled slot. Returns whether a
+  // pending event was cancelled.
+  bool cancel(EventId id);
 
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] size_t size() const { return live_; }
 
   // Time of the earliest pending event; kNever when empty.
-  [[nodiscard]] SimTime next_time() const;
+  [[nodiscard]] double next_time() const;
+
+  // Pops the earliest event if its time is at or before `now`: moves its
+  // callback into `*fn` (and its time into `*at`, when given) without
+  // running it. Returns false, leaving both alone, when nothing is due.
+  bool pop_due(double now, EventFn* fn, double* at = nullptr);
 
   // Pops and runs the earliest event; returns false if none pending.
   // `now` is updated to the event's timestamp before the callback runs.
-  bool run_one(SimTime* now);
+  bool run_one(double* now);
 
   // Counters for the scale bench and the allocation-regression tests.
   // The capacity fields only grow while the queue warms up; a flat
@@ -95,7 +113,7 @@ class EventQueue {
   static constexpr double kMinWidth = 1e-6;  // µs; below tie-break noise
 
   struct Node {
-    SimTime at = 0.0;
+    double at = 0.0;
     uint64_t seq = 0;
     uint64_t vb = 0;  // virtual bucket: floor(at / width_), never wraps
     Node* next = nullptr;
@@ -108,7 +126,7 @@ class EventQueue {
     Node* node = nullptr;
   };
 
-  [[nodiscard]] uint64_t vbucket_of(SimTime at) const {
+  [[nodiscard]] uint64_t vbucket_of(double at) const {
     return static_cast<uint64_t>(at / width_);
   }
   static bool before(const Node& a, const Node& b) {
@@ -155,13 +173,13 @@ class EventQueue {
   mutable std::vector<Node*> scratch_;  // reused by resize()
 };
 
-// The pre-calendar implementation, kept verbatim as the differential-test
-// oracle (identical (at, insertion-order) pop contract) and the
-// heap-baseline the scale bench measures the calendar queue against —
-// including its O(n) sorted-vector cancel, which is the bug being fixed.
+// The pre-calendar implementation, kept as the differential-test oracle
+// (identical (at, insertion-order) pop contract) and the heap baseline
+// the scale bench measures the calendar queue against — including its
+// O(n) sorted-vector cancel, which is the bug being fixed.
 class ReferenceHeapQueue {
  public:
-  EventId schedule_at(SimTime at, EventFn fn) {
+  EventId schedule_at(double at, EventFn fn) {
     NMAD_ASSERT_MSG(at >= 0.0, "event scheduled before time zero");
     const EventId id = next_id_++;
     heap_.push(Event{at, id, std::move(fn)});
@@ -180,26 +198,37 @@ class ReferenceHeapQueue {
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] size_t size() const { return live_; }
 
-  [[nodiscard]] SimTime next_time() const {
+  [[nodiscard]] double next_time() const {
     drop_cancelled();
     return heap_.empty() ? kNever : heap_.top().at;
   }
 
-  bool run_one(SimTime* now) {
+  bool pop_due(double now, EventFn* fn, double* at = nullptr) {
     drop_cancelled();
-    if (heap_.empty()) return false;
+    if (heap_.empty() || heap_.top().at > now) return false;
     Event event = std::move(const_cast<Event&>(heap_.top()));
     heap_.pop();
     --live_;
-    NMAD_ASSERT_MSG(event.at + 1e-9 >= *now, "time went backwards");
-    if (event.at > *now) *now = event.at;
-    event.fn();
+    *fn = std::move(event.fn);
+    if (at != nullptr) *at = event.at;
+    return true;
+  }
+
+  bool run_one(double* now) {
+    EventFn fn;
+    double at = 0.0;
+    if (!pop_due(std::numeric_limits<double>::infinity(), &fn, &at)) {
+      return false;
+    }
+    NMAD_ASSERT_MSG(at + 1e-9 >= *now, "time went backwards");
+    if (at > *now) *now = at;
+    fn();
     return true;
   }
 
  private:
   struct Event {
-    SimTime at;
+    double at;
     EventId id;
     EventFn fn;
   };
@@ -226,4 +255,4 @@ class ReferenceHeapQueue {
   EventId next_id_ = 1;
 };
 
-}  // namespace nmad::simnet
+}  // namespace nmad::util

@@ -1,9 +1,11 @@
 // Strategy unit tests: election behaviour on hand-built windows.
 //
-// The window is intrusive and non-owning, so tests stack-allocate chunks,
-// link them into a real gate, run the strategy, and unlink leftovers.
+// The window is intrusive and non-owning, so the fixture owns the chunks
+// and jobs the tests link into a real gate, and unlinks leftovers in
+// TearDown while they are still alive.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <vector>
 
 #include "nmad/api/session.hpp"
@@ -30,10 +32,10 @@ class StrategyTest : public ::testing::Test {
   Gate& gate() { return core().gate(cluster_.gate(0, 1)); }
   const RailInfo& rail(RailIndex r) { return core().rail_info(r); }
 
-  OutChunk data_chunk(Tag tag, util::ConstBytes payload,
-                      Priority prio = Priority::kNormal,
-                      RailIndex pinned = kAnyRail) {
-    OutChunk c;
+  OutChunk& data_chunk(Tag tag, util::ConstBytes payload,
+                       Priority prio = Priority::kNormal,
+                       RailIndex pinned = kAnyRail) {
+    OutChunk& c = chunks_.emplace_back();
     c.kind = ChunkKind::kData;
     c.tag = tag;
     c.seq = 0;
@@ -46,12 +48,15 @@ class StrategyTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    gate().sched.window.clear();      // chunks are test-owned
-    gate().sched.ready_bulk.clear();  // jobs are test-owned
+    gate().sched.window.clear();      // chunks are fixture-owned
+    gate().sched.ready_bulk.clear();  // jobs are fixture-owned
   }
 
   api::Cluster cluster_;
   std::vector<std::byte> buf_ = std::vector<std::byte>(64 * 1024);
+  // Deques: linked entries must not move as more are added.
+  std::deque<OutChunk> chunks_;
+  std::deque<BulkJob> jobs_;
 };
 
 TEST_F(StrategyTest, RegistryKnowsBuiltins) {
@@ -70,8 +75,8 @@ TEST_F(StrategyTest, RegistryKnowsBuiltins) {
 
 TEST_F(StrategyTest, DefaultPacksExactlyOneChunk) {
   auto strategy = make_strategy("default");
-  OutChunk a = data_chunk(1, {buf_.data(), 100});
-  OutChunk b = data_chunk(2, {buf_.data(), 100});
+  OutChunk& a = data_chunk(1, {buf_.data(), 100});
+  OutChunk& b = data_chunk(2, {buf_.data(), 100});
   gate().sched.window.push_back(a);
   gate().sched.window.push_back(b);
 
@@ -84,9 +89,9 @@ TEST_F(StrategyTest, DefaultPacksExactlyOneChunk) {
 
 TEST_F(StrategyTest, AggregTakesEverythingThatFits) {
   auto strategy = make_strategy("aggreg");
-  OutChunk a = data_chunk(1, {buf_.data(), 100});
-  OutChunk b = data_chunk(2, {buf_.data(), 200});
-  OutChunk c = data_chunk(3, {buf_.data(), 300});
+  OutChunk& a = data_chunk(1, {buf_.data(), 100});
+  OutChunk& b = data_chunk(2, {buf_.data(), 200});
+  OutChunk& c = data_chunk(3, {buf_.data(), 300});
   gate().sched.window.push_back(a);
   gate().sched.window.push_back(b);
   gate().sched.window.push_back(c);
@@ -98,8 +103,8 @@ TEST_F(StrategyTest, AggregTakesEverythingThatFits) {
 
 TEST_F(StrategyTest, AggregPutsControlFirst) {
   auto strategy = make_strategy("aggreg");
-  OutChunk a = data_chunk(1, {buf_.data(), 100});
-  OutChunk cts;
+  OutChunk& a = data_chunk(1, {buf_.data(), 100});
+  OutChunk& cts = chunks_.emplace_back();
   cts.kind = ChunkKind::kCts;
   cts.tag = 9;
   cts.cookie = 7;
@@ -116,8 +121,8 @@ TEST_F(StrategyTest, AggregPutsControlFirst) {
 
 TEST_F(StrategyTest, AggregHonoursHighPriorityData) {
   auto strategy = make_strategy("aggreg");
-  OutChunk normal = data_chunk(1, {buf_.data(), 64});
-  OutChunk urgent = data_chunk(2, {buf_.data(), 64}, Priority::kHigh);
+  OutChunk& normal = data_chunk(1, {buf_.data(), 64});
+  OutChunk& urgent = data_chunk(2, {buf_.data(), 64}, Priority::kHigh);
   gate().sched.window.push_back(normal);
   gate().sched.window.push_back(urgent);
 
@@ -131,9 +136,9 @@ TEST_F(StrategyTest, AggregReordersAroundNonFittingChunk) {
   // The two-rail gate's aggregation limit is 16K (elan threshold). big
   // almost fills it; mid does not fit after it, but small does: the
   // strategy must skip mid and still take small.
-  OutChunk big = data_chunk(1, {buf_.data(), 14 * 1024});
-  OutChunk mid = data_chunk(2, {buf_.data(), 4 * 1024});
-  OutChunk small = data_chunk(3, {buf_.data(), 512});
+  OutChunk& big = data_chunk(1, {buf_.data(), 14 * 1024});
+  OutChunk& mid = data_chunk(2, {buf_.data(), 4 * 1024});
+  OutChunk& small = data_chunk(3, {buf_.data(), 512});
   gate().sched.window.push_back(big);
   gate().sched.window.push_back(mid);
   gate().sched.window.push_back(small);
@@ -148,9 +153,9 @@ TEST_F(StrategyTest, AggregReordersAroundNonFittingChunk) {
 
 TEST_F(StrategyTest, AggregRespectsRailPinning) {
   auto strategy = make_strategy("aggreg");
-  OutChunk for_rail1 = data_chunk(1, {buf_.data(), 64}, Priority::kNormal,
-                                  /*pinned=*/1);
-  OutChunk any = data_chunk(2, {buf_.data(), 64});
+  OutChunk& for_rail1 = data_chunk(1, {buf_.data(), 64}, Priority::kNormal,
+                                   /*pinned=*/1);
+  OutChunk& any = data_chunk(2, {buf_.data(), 64});
   gate().sched.window.push_back(for_rail1);
   gate().sched.window.push_back(any);
 
@@ -168,29 +173,22 @@ TEST_F(StrategyTest, AggregStopsAtRendezvousThreshold) {
   // Gate threshold is min(mx 32K, elan 16K) = 16K: chunks beyond the
   // cumulated 16K stay in the window.
   ASSERT_EQ(gate().rdv_threshold, 16u * 1024);
-  std::vector<OutChunk> chunks;
-  chunks.reserve(8);
   for (int i = 0; i < 8; ++i) {
-    chunks.push_back(data_chunk(Tag(i), {buf_.data(), 4 * 1024}));
+    gate().sched.window.push_back(data_chunk(Tag(i), {buf_.data(), 4 * 1024}));
   }
-  for (auto& c : chunks) gate().sched.window.push_back(c);
 
   PacketBuilder builder(32 * 1024, 0);
   const size_t taken = strategy->pack(core().scheduler(), gate(), rail(0), builder);
   EXPECT_LT(taken, 8u);
   EXPECT_LE(builder.wire_bytes(), 16u * 1024);
   EXPECT_EQ(gate().sched.window.size(), 8u - taken);
-  gate().sched.window.clear();  // leftovers die with `chunks` before TearDown
 }
 
 TEST_F(StrategyTest, AggregExtendedUsesFullPacketLimit) {
   auto strategy = make_strategy("aggreg_extended");
-  std::vector<OutChunk> chunks;
-  chunks.reserve(3);
   for (int i = 0; i < 3; ++i) {
-    chunks.push_back(data_chunk(Tag(i), {buf_.data(), 5 * 1024}));
+    gate().sched.window.push_back(data_chunk(Tag(i), {buf_.data(), 5 * 1024}));
   }
-  for (auto& c : chunks) gate().sched.window.push_back(c);
 
   // gate.max_packet = min(mx 32K, elan 16K) = 16K; 3×5K+headers just fits
   // under the packet limit but exceeds the 16K-3 rendezvous-bounded
@@ -202,7 +200,7 @@ TEST_F(StrategyTest, AggregExtendedUsesFullPacketLimit) {
 
 TEST_F(StrategyTest, DefaultBulkTakesWholeRemaining) {
   auto strategy = make_strategy("default");
-  BulkJob job;
+  BulkJob& job = jobs_.emplace_back();
   job.cookie = 1;
   job.gate = gate().id;
   job.body = {buf_.data(), 48 * 1024};
@@ -216,7 +214,7 @@ TEST_F(StrategyTest, DefaultBulkTakesWholeRemaining) {
 
 TEST_F(StrategyTest, BulkDeclinedOnDisallowedRail) {
   auto strategy = make_strategy("default");
-  BulkJob job;
+  BulkJob& job = jobs_.emplace_back();
   job.body = {buf_.data(), 1024};
   job.rails = {1};  // only rail 1 granted
   gate().sched.ready_bulk.push_back(job);
@@ -227,7 +225,7 @@ TEST_F(StrategyTest, BulkDeclinedOnDisallowedRail) {
 
 TEST_F(StrategyTest, SplitBalanceSharesByBandwidth) {
   auto strategy = make_strategy("split_balance");
-  BulkJob job;
+  BulkJob& job = jobs_.emplace_back();
   job.body = {buf_.data(), 64 * 1024};
   job.rails = {0, 1};
   gate().sched.ready_bulk.push_back(job);
@@ -249,7 +247,7 @@ TEST_F(StrategyTest, SplitBalanceSharesByBandwidth) {
 
 TEST_F(StrategyTest, SplitBalanceDoesNotSplitSmallBodies) {
   auto strategy = make_strategy("split_balance");
-  BulkJob job;
+  BulkJob& job = jobs_.emplace_back();
   job.body = {buf_.data(), 20 * 1024};  // below 2 * kMinSliceBytes
   job.rails = {0, 1};
   gate().sched.ready_bulk.push_back(job);

@@ -4,11 +4,15 @@
 #include <vector>
 
 #include "simnet/cpu.hpp"
-#include "simnet/event_queue.hpp"
 #include "simnet/world.hpp"
+#include "util/event_queue.hpp"
 
 namespace nmad::simnet {
 namespace {
+
+using util::EventId;
+using util::EventQueue;
+using util::kNever;
 
 TEST(EventQueue, RunsInTimeOrder) {
   EventQueue q;

@@ -1,4 +1,5 @@
-// Differential/property suite for the calendar-queue EventQueue.
+// Differential/property suite for the calendar-queue EventQueue, the one
+// timer queue of both clocks.
 //
 // The scheduler was rewritten from a binary heap to a calendar queue; the
 // old implementation survives as ReferenceHeapQueue. Both must be
@@ -7,18 +8,32 @@
 // skip semantics — so seed-driven random workloads run against both in
 // lockstep and any divergence fails with the seed plus the shortest
 // failing operation prefix (found by binary search, replayable verbatim).
+// Each workload runs in two shapes: the simulation's (run_one jumps the
+// clock to the earliest event) and the wall clock's (deadlines behind
+// the clock, and pop_due at a clock that often lags the earliest one).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "simnet/event_queue.hpp"
+#include "util/event_queue.hpp"
 #include "util/inline_fn.hpp"
 #include "util/rng.hpp"
 
-namespace nmad::simnet {
+namespace nmad::util {
 namespace {
+
+enum class Clock { kSim, kWall };
+
+// The wall's pop: take the earliest callback due at `now`, then run it.
+template <class Queue>
+bool pop_due_and_run(Queue& q, double now) {
+  EventFn fn;
+  if (!q.pop_due(now, &fn)) return false;
+  fn();
+  return true;
+}
 
 struct DiffResult {
   bool ok = true;
@@ -30,17 +45,18 @@ struct DiffResult {
 // queues and cross-checks after every operation. Operations on the prefix
 // are identical for any nops, so a failure shrinks by re-running with a
 // smaller count.
-DiffResult run_diff(uint64_t seed, size_t nops) {
+DiffResult run_diff(uint64_t seed, size_t nops, Clock clock) {
   util::Rng rng(seed);
   EventQueue cal;
   ReferenceHeapQueue ref;
-  SimTime now_cal = 0.0;
-  SimTime now_ref = 0.0;
+  double now_cal = 0.0;
+  double now_ref = 0.0;
+  const bool wall = clock == Clock::kWall;
 
   struct Live {
     EventId cal_id;
     EventId ref_id;
-    SimTime at;
+    double at;
     uint64_t label;
   };
   std::vector<Live> live;
@@ -57,20 +73,23 @@ DiffResult run_diff(uint64_t seed, size_t nops) {
     if (dice < 50 || live.empty()) {
       // Schedule. Mix near-future spacings with exact ties on a pending
       // timestamp (insertion-order tie-break coverage), events at the
-      // current instant, and rare far-future outliers (timer-wheel years
+      // current instant, and rare far-future outliers (calendar years
       // ahead — exercises the direct-search fallback and width choice).
-      SimTime at;
+      double at;
       const uint64_t shape = rng.next_below(10);
       if (shape < 5 || live.empty()) {
         at = now_cal + static_cast<double>(rng.next_below(1000)) * 0.25;
       } else if (shape < 8) {
         at = live[rng.next_below(live.size())].at;  // exact tie
-        if (at < now_cal) at = now_cal;
+        if (at < now_cal && !wall) at = now_cal;
       } else if (shape == 8) {
         at = now_cal;  // fires this instant, behind pending peers
       } else {
         at = now_cal + 1e6 + static_cast<double>(rng.next_below(1000)) * 50.0;
       }
+      // A wall timer can be armed for an instant the clock has passed;
+      // it is due at once and pulls the year cursor back.
+      if (wall && rng.next_below(8) == 0) at = now_cal * 0.5;
       const uint64_t label = next_label++;
       Live entry;
       entry.at = at;
@@ -88,10 +107,21 @@ DiffResult run_diff(uint64_t seed, size_t nops) {
       live[pick] = live.back();
       live.pop_back();
     } else {
-      // Pop.
-      const bool ran_cal = cal.run_one(&now_cal);
-      const bool ran_ref = ref.run_one(&now_ref);
-      if (ran_cal != ran_ref) return fail(op, "run_one() returned differently");
+      // Pop: the simulation jumps its clock to the earliest event; the
+      // wall clock moves on by itself, often not as far as the earliest
+      // deadline, and only what is due pops.
+      bool ran_cal;
+      bool ran_ref;
+      if (wall) {
+        now_cal += static_cast<double>(rng.next_below(400)) * 0.25;
+        now_ref = now_cal;
+        ran_cal = pop_due_and_run(cal, now_cal);
+        ran_ref = pop_due_and_run(ref, now_ref);
+      } else {
+        ran_cal = cal.run_one(&now_cal);
+        ran_ref = ref.run_one(&now_ref);
+      }
+      if (ran_cal != ran_ref) return fail(op, "pop returned differently");
       if (ran_cal) {
         if (popped_cal.size() != popped_ref.size() ||
             popped_cal.back() != popped_ref.back()) {
@@ -118,9 +148,11 @@ DiffResult run_diff(uint64_t seed, size_t nops) {
 
   // Drain both queues completely and compare the full pop sequences.
   while (true) {
-    const bool ran_cal = cal.run_one(&now_cal);
-    const bool ran_ref = ref.run_one(&now_ref);
-    if (ran_cal != ran_ref) return fail(nops, "drain run_one() diverged");
+    const bool ran_cal =
+        wall ? pop_due_and_run(cal, kNever) : cal.run_one(&now_cal);
+    const bool ran_ref =
+        wall ? pop_due_and_run(ref, kNever) : ref.run_one(&now_ref);
+    if (ran_cal != ran_ref) return fail(nops, "drain pop diverged");
     if (!ran_cal) break;
   }
   if (popped_cal != popped_ref) return fail(nops, "drain pop order diverged");
@@ -129,26 +161,29 @@ DiffResult run_diff(uint64_t seed, size_t nops) {
 }
 
 TEST(EventQueueProperty, DifferentialAgainstReferenceHeap) {
-  for (uint64_t s = 0; s < 40; ++s) {
-    const uint64_t seed = 0x9E3779B97F4A7C15ull * (s + 1);
-    const size_t nops = 4000;
-    const DiffResult full = run_diff(seed, nops);
-    if (full.ok) continue;
-    // Shrink: binary-search the shortest failing prefix so the replay in
-    // the failure message is minimal.
-    size_t lo = 1;
-    size_t hi = full.fail_op + 1;
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (run_diff(seed, mid).ok) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
+  for (const Clock clock : {Clock::kSim, Clock::kWall}) {
+    for (uint64_t s = 0; s < 40; ++s) {
+      const uint64_t seed = 0x9E3779B97F4A7C15ull * (s + 1);
+      const size_t nops = 4000;
+      const DiffResult full = run_diff(seed, nops, clock);
+      if (full.ok) continue;
+      // Shrink: binary-search the shortest failing prefix so the replay
+      // in the failure message is minimal.
+      size_t lo = 1;
+      size_t hi = full.fail_op + 1;
+      while (lo < hi) {
+        const size_t mid = lo + (hi - lo) / 2;
+        if (run_diff(seed, mid, clock).ok) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
       }
+      FAIL() << "calendar queue diverged from reference heap: " << full.what
+             << "\n  replay: run_diff(/*seed=*/" << seed << "u, /*nops=*/"
+             << lo << ", Clock::" << (clock == Clock::kWall ? "kWall" : "kSim")
+             << ")";
     }
-    FAIL() << "calendar queue diverged from reference heap: " << full.what
-           << "\n  replay: run_diff(/*seed=*/" << seed << "u, /*nops=*/" << lo
-           << ")";
   }
 }
 
@@ -161,16 +196,16 @@ TEST(EventQueueProperty, CancelHeavyTimerWorkload) {
   util::Rng rng(42);
   std::vector<uint64_t> fired;
   std::vector<uint64_t> expected;
-  SimTime now = 0.0;
+  double now = 0.0;
   constexpr size_t kTimers = 50000;
   std::vector<EventId> pending;
   pending.reserve(kTimers);
   for (uint64_t i = 0; i < kTimers; ++i) {
-    const SimTime at = 100.0 + static_cast<double>(i) * 0.01;
+    const double at = 100.0 + static_cast<double>(i) * 0.01;
     pending.push_back(q.schedule_at(at, [&fired, i] { fired.push_back(i); }));
     // 95% of timers are "acked" (cancelled) before they can fire.
     if (rng.next_bool(0.95)) {
-      q.cancel(pending.back());
+      EXPECT_TRUE(q.cancel(pending.back()));
     } else {
       expected.push_back(i);
     }
@@ -187,35 +222,39 @@ TEST(EventQueueProperty, CancelHeavyTimerWorkload) {
 }
 
 // Generation stamps must fence every form of dead id: double cancel,
-// cancel after the event fired, and a stale id whose slot was recycled by
-// a newer event.
+// cancel after the event fired (through either pop), and a stale id whose
+// slot was recycled by a newer event. cancel() reports which it was.
 TEST(EventQueueProperty, CancelFencing) {
   EventQueue q;
-  SimTime now = 0.0;
+  double now = 0.0;
   int fired_a = 0;
   int fired_b = 0;
 
   // Double cancel: second call is a no-op, size stays consistent.
   const EventId dup = q.schedule_at(1.0, [] {});
-  q.cancel(dup);
+  EXPECT_TRUE(q.cancel(dup));
   EXPECT_EQ(q.size(), 0u);
-  q.cancel(dup);
+  EXPECT_FALSE(q.cancel(dup));
   EXPECT_EQ(q.size(), 0u);
 
   // Cancel after fire: must not disturb later events.
   const EventId fires = q.schedule_at(2.0, [&fired_a] { ++fired_a; });
   EXPECT_TRUE(q.run_one(&now));
   EXPECT_EQ(fired_a, 1);
-  q.cancel(fires);  // already fired; fenced
+  EXPECT_FALSE(q.cancel(fires));  // already fired; fenced
 
   // Slot reuse: the slot freed by `fires` may be handed to `fresh`. The
   // stale id must not cancel the new tenant.
   const EventId fresh = q.schedule_at(3.0, [&fired_b] { ++fired_b; });
   ASSERT_NE(fresh, fires);
-  q.cancel(fires);  // stale generation; fenced
+  EXPECT_FALSE(q.cancel(fires));  // stale generation; fenced
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_TRUE(q.run_one(&now));
+  EventFn fn;
+  EXPECT_FALSE(q.pop_due(2.5, &fn));  // not due yet
+  ASSERT_TRUE(q.pop_due(3.0, &fn));
+  fn();
   EXPECT_EQ(fired_b, 1);
+  EXPECT_FALSE(q.cancel(fresh));  // popped by pop_due; fenced
 
   // Ids are never zero (0 is a safe "no event armed" sentinel).
   EXPECT_NE(q.schedule_at(4.0, [] {}), 0u);
@@ -223,7 +262,8 @@ TEST(EventQueueProperty, CancelFencing) {
 
 // Insertion-order ties must survive bucket-array resizes: the rebuild
 // re-sorts by (at, seq), so a burst big enough to force several grows
-// still pops in submission order.
+// still pops in submission order — the first half through the wall's
+// pop_due at the burst's deadline, the rest through run_one.
 TEST(EventQueueProperty, TiesSurviveResize) {
   EventQueue q;
   std::vector<int> order;
@@ -232,7 +272,10 @@ TEST(EventQueueProperty, TiesSurviveResize) {
     q.schedule_at(5.0, [&order, i] { order.push_back(i); });
   }
   EXPECT_GE(q.stats().resizes, 1u);
-  SimTime now = 0.0;
+  for (int i = 0; i < kBurst / 2; ++i) {
+    ASSERT_TRUE(pop_due_and_run(q, 5.0));
+  }
+  double now = 0.0;
   while (q.run_one(&now)) {
   }
   ASSERT_EQ(order.size(), static_cast<size_t>(kBurst));
@@ -248,7 +291,7 @@ TEST(EventQueueProperty, SparseFarFutureEvents) {
   q.schedule_at(1e6, [&] { order.push_back(1); });      // one second out
   q.schedule_at(3.6e9, [&] { order.push_back(2); });    // one hour out
   q.schedule_at(7.2e9, [&] { order.push_back(3); });    // two hours out
-  SimTime now = 0.0;
+  double now = 0.0;
   while (q.run_one(&now)) {
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
@@ -256,12 +299,12 @@ TEST(EventQueueProperty, SparseFarFutureEvents) {
 }
 
 // Steady state must be allocation-free: once the slab/slot/bucket
-// capacities cover the working set, a pop+push loop touches no allocator.
-// The queue's own capacity counters and the InlineFunction spill counter
-// are the witnesses.
+// capacities cover the working set, a pop+push loop touches no allocator,
+// whichever clock pops. The queue's own capacity counters and the
+// InlineFunction spill counter are the witnesses.
 TEST(EventQueueProperty, SteadyStateIsAllocationFree) {
   EventQueue q;
-  SimTime now = 0.0;
+  double now = 0.0;
   util::Rng rng(7);
   // Warm up: reach a stable pending population.
   constexpr size_t kPending = 1024;
@@ -275,9 +318,16 @@ TEST(EventQueueProperty, SteadyStateIsAllocationFree) {
   const EventQueue::Stats warm = q.stats();
   const uint64_t spills = util::inline_fn_heap_allocs();
 
-  // Steady state: population constant, hundreds of thousands of ops.
+  // Steady state: population constant, hundreds of thousands of ops,
+  // popped alternately the simulation's way and the wall's way (at the
+  // earliest deadline).
   for (int i = 0; i < 200000; ++i) {
-    ASSERT_TRUE(q.run_one(&now));
+    if (i % 2 == 0) {
+      ASSERT_TRUE(q.run_one(&now));
+    } else {
+      now = q.next_time();
+      ASSERT_TRUE(pop_due_and_run(q, now));
+    }
     q.schedule_at(now + static_cast<double>(rng.next_below(100)) + 0.1, [] {});
   }
   const EventQueue::Stats steady = q.stats();
@@ -322,4 +372,4 @@ TEST(InlineFunction, InlineAndSpillPaths) {
 }
 
 }  // namespace
-}  // namespace nmad::simnet
+}  // namespace nmad::util
