@@ -114,11 +114,21 @@ if grep 'simnet::' <<<"$core_undefined"; then
   exit 1
 fi
 echo "library split: nmad_core links no simnet symbol"
+# The wall-clock tier links the engine and the oracle, never the simulator.
+for t in test_ring test_wallclock_runtime test_wall_shm; do
+  wall_symbols=$(nm -C "$BUILD_DIR/tests/$t")
+  if grep 'simnet::' <<<"$wall_symbols"; then
+    echo "$t links simnet symbols (link it against nmad_core or nmad_oracle)" >&2
+    exit 1
+  fi
+done
+echo "library split: the wall-clock test binaries link no simnet symbol"
 
 # Thread tier: the wall-clock stack (rings, the runtime's timer queue and
-# pump thread, shm driver with its per-endpoint pump threads) rebuilt
-# under TSan and run alone — the virtual-clock tests are single-threaded
-# by design, so only the threaded targets pay the ~10x TSan tax.
+# pump thread, shm driver with its per-endpoint pump threads, the oracle's
+# audit of both engines) rebuilt under TSan and run alone — the
+# virtual-clock tests are single-threaded by design, so only the threaded
+# targets pay the ~10x TSan tax.
 TSAN_DIR=${TSAN_DIR:-build-tsan}
 cmake -B "$TSAN_DIR" -S . -DNMAD_SANITIZE=thread -DNMAD_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo

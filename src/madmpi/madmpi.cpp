@@ -42,11 +42,8 @@ bool should_pack(const core::SourceLayout& src) {
 }  // namespace
 
 MadMpiEndpoint::MadMpiEndpoint(simnet::SimWorld& world, core::Core& core,
-                               int rank, int size,
-                               std::vector<core::GateId> rank_gates)
-    : Endpoint(world, rank, size),
-      core_(core),
-      rank_gates_(std::move(rank_gates)) {}
+                               int rank, int size)
+    : Endpoint(world, rank, size), core_(core) {}
 
 Request* MadMpiEndpoint::isend(const void* buf, int count,
                                const Datatype& type, int dest, int tag,
@@ -62,12 +59,12 @@ Request* MadMpiEndpoint::isend(const void* buf, int count,
     type.pack(buf, count, packed.view());
     core_.rt().cpu().charge_memcpy(packed.size());
     core::SendRequest* inner =
-        core_.isend(rank_gates_[dest], fold_tag(comm, tag),
+        core_.isend(core_.gate_to(dest), fold_tag(comm, tag),
                     core::SourceLayout::contiguous(packed.view()));
     return new MadRequest(core_, inner, std::move(packed));
   }
   core::SendRequest* inner =
-      core_.isend(rank_gates_[dest], fold_tag(comm, tag), src);
+      core_.isend(core_.gate_to(dest), fold_tag(comm, tag), src);
   return new MadRequest(core_, inner);
 }
 
@@ -75,7 +72,7 @@ Request* MadMpiEndpoint::irecv(void* buf, int count, const Datatype& type,
                                int source, int tag, Comm comm) {
   NMAD_ASSERT(source >= 0 && source < size_ && source != rank_);
   core::RecvRequest* inner = core_.irecv(
-      rank_gates_[source], fold_tag(comm, tag),
+      core_.gate_to(source), fold_tag(comm, tag),
       type.dest_layout(buf, count));
   return new MadRequest(core_, inner);
 }
@@ -83,7 +80,7 @@ Request* MadMpiEndpoint::irecv(void* buf, int count, const Datatype& type,
 ProbeStatus MadMpiEndpoint::iprobe(int source, int tag, Comm comm) {
   NMAD_ASSERT(source >= 0 && source < size_ && source != rank_);
   const core::Core::PeekResult peek =
-      core_.peek_unexpected(rank_gates_[source], fold_tag(comm, tag));
+      core_.peek_unexpected(core_.gate_to(source), fold_tag(comm, tag));
   ProbeStatus status;
   status.matched = peek.matched;
   status.bytes = peek.total_bytes;
@@ -111,13 +108,8 @@ MadMpiWorld::MadMpiWorld(api::ClusterOptions options)
     : cluster_(std::move(options)) {
   const int size = static_cast<int>(cluster_.node_count());
   for (int rank = 0; rank < size; ++rank) {
-    std::vector<core::GateId> gates(size, core::GateId{0});
-    for (int peer = 0; peer < size; ++peer) {
-      if (peer != rank) gates[peer] = cluster_.gate(rank, peer);
-    }
     endpoints_.push_back(std::make_unique<MadMpiEndpoint>(
-        cluster_.world(), cluster_.core(rank), rank, size,
-        std::move(gates)));
+        cluster_.world(), cluster_.core(rank), rank, size));
   }
 }
 

@@ -29,9 +29,9 @@ namespace nmad::mpi {
 
 class MadMpiEndpoint final : public Endpoint {
  public:
-  // `rank_gates[r]` is the engine gate leading to rank r (unused self slot).
+  // Rank r is the engine's peer r: core.gate_to(r) leads to it.
   MadMpiEndpoint(simnet::SimWorld& world, core::Core& core, int rank,
-                 int size, std::vector<core::GateId> rank_gates);
+                 int size);
 
   Request* isend(const void* buf, int count, const Datatype& type, int dest,
                  int tag, Comm comm) override;
@@ -58,7 +58,6 @@ class MadMpiEndpoint final : public Endpoint {
   }
 
   core::Core& core_;
-  std::vector<core::GateId> rank_gates_;
 };
 
 // Builds a complete MAD-MPI world over a simulated cluster: one engine and

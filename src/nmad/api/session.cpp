@@ -37,8 +37,6 @@ Cluster::Cluster(ClusterOptions options)
     cores_.push_back(std::move(core));
   }
 
-  gates_.resize(options.nodes,
-                std::vector<core::GateId>(options.nodes, core::kNoGate));
   if (options.full_mesh) {
     for (size_t from = 0; from < options.nodes; ++from) {
       for (size_t to = 0; to < options.nodes; ++to) {
@@ -46,33 +44,33 @@ Cluster::Cluster(ClusterOptions options)
         auto gate =
             cores_[from]->connect(static_cast<drivers::PeerAddr>(to));
         NMAD_ASSERT_MSG(gate.has_value(), "gate open failed");
-        gates_[from][to] = gate.value();
       }
     }
   }
 }
 
-core::GateId Cluster::gate(simnet::NodeId from, simnet::NodeId to) const {
-  NMAD_ASSERT(from < gates_.size() && to < gates_.size() && from != to);
-  NMAD_ASSERT_MSG(gates_[from][to] != core::kNoGate,
-                  "gate not open (lazy mesh: call ensure_gate first)");
-  return gates_[from][to];
+std::vector<core::Core*> Cluster::cores() const {
+  std::vector<core::Core*> out;
+  for (const auto& core : cores_) out.push_back(core.get());
+  return out;
 }
 
-bool Cluster::has_gate(simnet::NodeId from, simnet::NodeId to) const {
-  NMAD_ASSERT(from < gates_.size() && to < gates_.size() && from != to);
-  return gates_[from][to] != core::kNoGate;
+core::GateId Cluster::gate(simnet::NodeId from, simnet::NodeId to) const {
+  NMAD_ASSERT(from < cores_.size() && to < cores_.size() && from != to);
+  const core::GateId id = cores_[from]->gate_to(to);
+  NMAD_ASSERT_MSG(id != core::kNoGate,
+                  "gate not open (lazy mesh: call ensure_gate first)");
+  return id;
 }
 
 void Cluster::ensure_gate(simnet::NodeId from, simnet::NodeId to) {
-  NMAD_ASSERT(from < gates_.size() && to < gates_.size() && from != to);
+  NMAD_ASSERT(from < cores_.size() && to < cores_.size() && from != to);
   // Both directions: a one-way opening would leave the peer unable to
   // route the return traffic (acks, credits, CTS) this gate generates.
   for (const auto& [a, b] : {std::pair{from, to}, std::pair{to, from}}) {
-    if (gates_[a][b] != core::kNoGate) continue;
+    if (cores_[a]->gate_to(b) != core::kNoGate) continue;
     auto gate = cores_[a]->connect(static_cast<drivers::PeerAddr>(b));
     NMAD_ASSERT_MSG(gate.has_value(), "gate open failed");
-    gates_[a][b] = gate.value();
   }
 }
 

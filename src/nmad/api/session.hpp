@@ -54,14 +54,12 @@ class Cluster {
     NMAD_ASSERT(node < cores_.size());
     return *cores_[node];
   }
+  // The engines in node order (node n at index n).
+  [[nodiscard]] std::vector<core::Core*> cores() const;
 
   // Gate on `from` leading to `to`.
   [[nodiscard]] core::GateId gate(simnet::NodeId from,
                                   simnet::NodeId to) const;
-
-  // Whether the from→to gate has been opened (always true under a full
-  // mesh; lazy-mesh audits use this to skip pairs that never talked).
-  [[nodiscard]] bool has_gate(simnet::NodeId from, simnet::NodeId to) const;
 
   // Lazy-mesh mode: opens the from→to gate (and its to→from return path —
   // receiving a packet from an unconnected peer is a protocol error) if
@@ -85,7 +83,6 @@ class Cluster {
   // runtime::IRuntime seam, never the SimWorld/SimNode underneath.
   std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes_;
   std::vector<std::unique_ptr<core::Core>> cores_;
-  std::vector<std::vector<core::GateId>> gates_;  // [from][to]
   double stall_report_interval_us_;
   int stall_report_limit_;
 };

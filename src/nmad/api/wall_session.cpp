@@ -26,15 +26,12 @@ WallCluster::WallCluster(Options options)
     cores_.push_back(std::move(core));
   }
 
-  gates_.resize(options.nodes,
-                std::vector<core::GateId>(options.nodes, core::kNoGate));
   for (size_t from = 0; from < options.nodes; ++from) {
     runtime::ExecGuard guard(*runtimes_[from]);
     for (size_t to = 0; to < options.nodes; ++to) {
       if (from == to) continue;
       auto gate = cores_[from]->connect(static_cast<drivers::PeerAddr>(to));
       NMAD_ASSERT_MSG(gate.has_value(), "gate open failed");
-      gates_[from][to] = gate.value();
     }
   }
 }
@@ -47,8 +44,8 @@ WallCluster::~WallCluster() {
 }
 
 core::GateId WallCluster::gate(size_t from, size_t to) const {
-  NMAD_ASSERT(from < gates_.size() && to < gates_.size() && from != to);
-  return gates_[from][to];
+  NMAD_ASSERT(from < cores_.size() && to < cores_.size() && from != to);
+  return cores_[from]->gate_to(static_cast<drivers::PeerAddr>(to));
 }
 
 core::Request* WallCluster::post_send(size_t node, core::GateId gate,

@@ -37,14 +37,11 @@ class WallCluster {
   WallCluster& operator=(const WallCluster&) = delete;
 
   [[nodiscard]] size_t node_count() const { return cores_.size(); }
+  // Lock-free: only connect() writes the engine's peer→gate index, and
+  // only while the constructor builds the cluster.
   [[nodiscard]] core::GateId gate(size_t from, size_t to) const;
   [[nodiscard]] runtime::WallClockRuntime& rt(size_t node) {
     return *runtimes_[node];
-  }
-  // Bare engine access — callers must hold rt(node)'s exec lock; prefer
-  // locked() / the wrappers.
-  [[nodiscard]] core::Core& core_unlocked(size_t node) {
-    return *cores_[node];
   }
 
   // Runs `fn(core)` under the endpoint's exec lock.
@@ -67,7 +64,6 @@ class WallCluster {
   std::unique_ptr<drivers::ShmHub> hub_;
   std::vector<std::unique_ptr<runtime::WallClockRuntime>> runtimes_;
   std::vector<std::unique_ptr<core::Core>> cores_;
-  std::vector<std::vector<core::GateId>> gates_;  // [from][to]
 };
 
 }  // namespace nmad::api

@@ -143,7 +143,7 @@ util::Expected<GateId> Core::connect(drivers::PeerAddr peer) {
 util::Expected<GateId> Core::connect(drivers::PeerAddr peer,
                                      std::vector<RailIndex> rails) {
   if (rails.empty()) return util::invalid_argument("gate needs >= 1 rail");
-  if (peer < peer_gate_.size() && peer_gate_[peer] != kNoGate) {
+  if (gate_to(peer) != kNoGate) {
     return util::already_exists("gate to this peer already open");
   }
   for (RailIndex r : rails) {
@@ -299,10 +299,9 @@ void Core::release(Request* req) {
 // ---------------------------------------------------------------------------
 
 void Core::on_packet(RailIndex rail, drivers::RxPacket&& packet) {
-  NMAD_ASSERT_MSG(
-      packet.from < peer_gate_.size() && peer_gate_[packet.from] != kNoGate,
-      "packet from unknown peer");
-  Gate& g = *gates_[peer_gate_[packet.from]];
+  const GateId id = gate_to(packet.from);
+  NMAD_ASSERT_MSG(id != kNoGate, "packet from unknown peer");
+  Gate& g = *gates_[id];
   // A failed gate normally refuses all traffic — except a peer-dead gate
   // under the lifecycle, which keeps listening for heartbeats so a
   // restarted peer can announce its new incarnation and rejoin. Every
@@ -575,8 +574,9 @@ void Core::rejoin_gate(Gate& g) {
 
 void Core::on_bulk_orphan(drivers::PeerAddr from, uint64_t cookie,
                           size_t offset, size_t len) {
-  if (from >= peer_gate_.size() || peer_gate_[from] == kNoGate) return;
-  Gate& g = *gates_[peer_gate_[from]];
+  const GateId id = gate_to(from);
+  if (id == kNoGate) return;
+  Gate& g = *gates_[id];
   if (g.failed) return;
   sched_.on_bulk_orphan(g, cookie, offset, len);
 }
@@ -593,7 +593,8 @@ bool Core::drained() const {
   }
   // Without reliability no engine structure tracks a packet after its
   // election, so "flushed" must also mean the transmit engines are
-  // quiet: a frame mid-DMA completes its sends only at tx-done.
+  // quiet: a frame mid-DMA completes its sends only at tx-done, and a
+  // standalone ack or credit packet frees its chunk only then.
   return sched_.rails_flushed();
 }
 

@@ -121,7 +121,10 @@ class Core final : public ITransferFleet, private IEngine {
   // Graceful drain / shutdown ----------------------------------------------
   // Pumps the runtime until this engine is flushed: every non-failed
   // gate's optimization window, rendezvous pipeline and retransmit
-  // windows are empty and all deferred acknowledgements have shipped.
+  // windows are empty, all deferred acknowledgements have shipped, and
+  // every alive rail's transmit engine is idle. Like every engine call it
+  // runs under the exec lock; IRuntime::advance() lets the pump threads
+  // in while it waits.
   // Unmatched receives stay posted (the application may expect traffic
   // after the drain) and the engine remains fully usable — drain is a
   // flush, not a teardown. Returns kDeadlineExceeded when `deadline_us`
@@ -170,6 +173,10 @@ class Core final : public ITransferFleet, private IEngine {
   void stop_health_monitors();
   [[nodiscard]] size_t gate_count() const { return gates_.size(); }
   [[nodiscard]] Gate& gate(GateId id);
+  // The gate connect() opened to `peer`, or kNoGate.
+  [[nodiscard]] GateId gate_to(drivers::PeerAddr peer) const {
+    return peer < peer_gate_.size() ? peer_gate_[peer] : kNoGate;
+  }
   [[nodiscard]] size_t window_size(GateId id);
   [[nodiscard]] std::string_view strategy_name() const {
     return sched_.strategy_name();

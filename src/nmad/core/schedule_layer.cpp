@@ -1839,8 +1839,11 @@ bool ScheduleLayer::flushed(const Gate& gate) const {
 }
 
 bool ScheduleLayer::rails_flushed() const {
-  for (const RailSched& rs : rails_) {
-    if (rs.prebuilt) return false;  // elected early, never transmitted
+  for (RailIndex r = 0; r < rails_.size(); ++r) {
+    if (rails_[r].prebuilt) return false;  // elected early, never sent
+    // A standalone ack or credit packet holds its chunk until tx-done.
+    const ITransferRail& tr = fleet_.transfer_rail(r);
+    if (tr.alive() && !tr.tx_idle()) return false;
   }
   return true;
 }

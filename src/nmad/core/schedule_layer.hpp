@@ -136,6 +136,7 @@ class ScheduleLayer final : public ISchedule, public IPacketIssuer {
 
   // Drain -------------------------------------------------------------------
   [[nodiscard]] bool flushed(const Gate& gate) const;
+  // No prebuilt packet is parked and every alive rail's tx is idle.
   [[nodiscard]] bool rails_flushed() const;
 
   // Introspection -----------------------------------------------------------

@@ -100,8 +100,10 @@ class IRuntime {
 
   // Makes progress for blocking helpers (Core::drain): runs one pending
   // event for the simulation, or briefly yields for wall-clock runtimes
-  // whose progress lives on pump threads. Returns false when no further
-  // progress is possible without external input.
+  // whose progress lives on pump threads. On a threaded runtime the
+  // caller holds the exec lock, and advance() releases it while it
+  // waits. Returns false when no further progress is possible without
+  // external input.
   virtual bool advance() = 0;
 };
 
@@ -109,7 +111,6 @@ class IRuntime {
 // The engine itself is single-threaded by contract: the wall-clock
 // runtime's timer thread, the shm driver's rx pump threads and the
 // application thread all take this lock around any call into the Core.
-// The simulation implements it as a no-op (one thread, one world).
 class IExecLock {
  public:
   virtual ~IExecLock() = default;

@@ -17,7 +17,7 @@
 
 namespace nmad::runtime {
 
-class SimRuntime final : public IRuntime, public IExecLock {
+class SimRuntime final : public IRuntime {
  public:
   SimRuntime(simnet::SimWorld& world, simnet::SimNode& node)
       : world_(world), node_(node), cpu_(node) {}
@@ -48,10 +48,6 @@ class SimRuntime final : public IRuntime, public IExecLock {
   }
 
   bool advance() override { return world_.run_one(); }
-
-  // IExecLock: the simulation is single-threaded; nothing to serialize.
-  void lock() override {}
-  void unlock() override {}
 
   [[nodiscard]] simnet::SimWorld& world() { return world_; }
   [[nodiscard]] simnet::SimNode& node() { return node_; }

@@ -59,11 +59,16 @@ TimerStats WallClockRuntime::timer_stats() const {
 }
 
 size_t WallClockRuntime::poll_timers() {
-  size_t fired = 0;
-  // Exec first, timers second — the lock order every thread uses. Holding
-  // exec across the whole batch gives sim-equivalent cancel semantics: a
-  // callback cancelling a not-yet-fired due timer really stops it.
+  // Exec first, timers second — the lock order every thread uses.
   std::lock_guard<std::mutex> eg(exec_mu_);
+  return fire_due();
+}
+
+size_t WallClockRuntime::fire_due() {
+  // Holding exec across the whole batch gives sim-equivalent cancel
+  // semantics: a callback cancelling a not-yet-fired due timer really
+  // stops it.
+  size_t fired = 0;
   for (;;) {
     TimerFn fn;
     {
@@ -78,10 +83,13 @@ size_t WallClockRuntime::poll_timers() {
 
 bool WallClockRuntime::advance() {
   if (pump_thread_.joinable()) {
-    // Progress happens on the pump and driver threads; just yield.
+    // Progress happens on the pump and driver threads, and each of them
+    // needs the exec lock the caller holds: let go of it while waiting.
+    exec_mu_.unlock();
     std::this_thread::sleep_for(std::chrono::microseconds(20));
+    exec_mu_.lock();
   } else {
-    poll_timers();
+    fire_due();
   }
   return true;
 }

@@ -53,9 +53,10 @@ class WallClockRuntime final : public IRuntime, public IExecLock {
   [[nodiscard]] uint32_t incarnation() const override { return 0; }
   [[nodiscard]] ICpuCharge& cpu() override { return cpu_; }
   [[nodiscard]] TimerStats timer_stats() const override;
-  // Real time passes on its own: briefly yield (or pump the timers in
-  // threadless mode) and report "maybe more progress". Callers bound
-  // their waits with deadlines, not with this return value.
+  // Real time passes on its own: release the exec lock for a brief wait
+  // (or fire the due timers in threadless mode) and report "maybe more
+  // progress". Callers bound their waits with deadlines, not with this
+  // return value.
   bool advance() override;
 
   // IExecLock ---------------------------------------------------------
@@ -68,6 +69,8 @@ class WallClockRuntime final : public IRuntime, public IExecLock {
   size_t poll_timers();
 
  private:
+  // poll_timers() without taking the exec lock: the caller holds it.
+  size_t fire_due();
   void pump();
 
   class NullCpu final : public ICpuCharge {

@@ -633,11 +633,7 @@ class Runner {
         core::Core& core = cluster_->core(n);
         // A rank with no gates (possible on a --ranks lazy mesh) runs no
         // heartbeats, so it has no rail lifecycle to audit.
-        bool has_peer = false;
-        for (simnet::NodeId p = 0; p < cluster_->node_count() && !has_peer;
-             ++p) {
-          has_peer = p != n && cluster_->has_gate(n, p);
-        }
+        const bool has_peer = core.gate_count() != 0;
         if (has_peer && (plan_.fault == FaultKind::kRailFlap ||
                          plan_.fault == FaultKind::kSprayReorder)) {
           if (core.stats().rails_failed == 0) {
@@ -686,9 +682,10 @@ class Runner {
     // A terminal crash leaves the gate pair dead on purpose; every other
     // plan (including crash-then-rejoin, whose gates re-opened) must end
     // with healthy gates.
-    oracle_.finalize(*cluster_, /*allow_gate_failures=*/plan_.fault ==
-                                    FaultKind::kPeerCrash &&
-                                !plan_.crash_rejoins);
+    oracle_.finalize(cluster_->cores(),
+                     /*allow_gate_failures=*/plan_.fault ==
+                             FaultKind::kPeerCrash &&
+                         !plan_.crash_rejoins);
     if (!oracle_.ok()) {
       // Oracle violations always come with the engine dumps: the event-bus
       // trace at the end of each dump is the schedule's last moves in order.

@@ -136,7 +136,7 @@ void ProtocolOracle::recv_completed(int dst, int src, uint64_t tag,
   violation(buf);
 }
 
-void ProtocolOracle::finalize(api::Cluster& cluster,
+void ProtocolOracle::finalize(std::span<core::Core* const> cores,
                               bool allow_gate_failures) {
   char buf[240];
   // Completion audit: nothing posted may be left pending or lost.
@@ -169,13 +169,13 @@ void ProtocolOracle::finalize(api::Cluster& cluster,
   }
 
   // Engine-side audit at quiescence.
-  for (simnet::NodeId n = 0; n < cluster.node_count(); ++n) {
-    core::Core& core = cluster.core(n);
+  for (uint32_t n = 0; n < cores.size(); ++n) {
+    core::Core& core = *cores[n];
     std::vector<std::string> internal;
     if (!core.check_invariants(&internal)) {
       for (const std::string& f : internal) {
-        std::snprintf(buf, sizeof(buf), "node %u invariant: %s",
-                      static_cast<unsigned>(n), f.c_str());
+        std::snprintf(buf, sizeof(buf), "node %u invariant: %s", n,
+                      f.c_str());
         violation(buf);
       }
     }
@@ -183,9 +183,8 @@ void ProtocolOracle::finalize(api::Cluster& cluster,
       std::snprintf(buf, sizeof(buf),
                     "node %u: %llu bytes stranded in the unexpected store "
                     "at quiescence",
-                    static_cast<unsigned>(n),
-                    static_cast<unsigned long long>(
-                        core.stats().rx_stored_bytes));
+                    n, static_cast<unsigned long long>(
+                           core.stats().rx_stored_bytes));
       violation(buf);
     }
   }
@@ -193,23 +192,24 @@ void ProtocolOracle::finalize(api::Cluster& cluster,
   // Credit conservation: what each receiver heard is exactly what its
   // peer charged. A skipped charge (or a double delivery that slipped
   // past seq dedup) breaks the balance even when no limit ever bound.
-  for (simnet::NodeId a = 0; a < cluster.node_count(); ++a) {
-    for (simnet::NodeId b = 0; b < cluster.node_count(); ++b) {
+  for (uint32_t a = 0; a < cores.size(); ++a) {
+    for (uint32_t b = 0; b < cores.size(); ++b) {
       if (a == b) continue;
-      core::Core& sender = cluster.core(a);
-      core::Core& receiver = cluster.core(b);
+      core::Core& sender = *cores[a];
+      core::Core& receiver = *cores[b];
       if (!sender.config().flow_control) continue;
       // Lazy-mesh runs only wire the pairs that talked; an unopened pair
       // has no gates to balance.
-      if (!cluster.has_gate(a, b) || !cluster.has_gate(b, a)) continue;
-      core::Gate& tx = sender.gate(cluster.gate(a, b));
-      core::Gate& rx = receiver.gate(cluster.gate(b, a));
+      const core::GateId tx_id = sender.gate_to(b);
+      const core::GateId rx_id = receiver.gate_to(a);
+      if (tx_id == core::kNoGate || rx_id == core::kNoGate) continue;
+      core::Gate& tx = sender.gate(tx_id);
+      core::Gate& rx = receiver.gate(rx_id);
       if (tx.failed || rx.failed) {
         if (!allow_gate_failures) {
           std::snprintf(buf, sizeof(buf),
                         "gate pair %u<->%u failed under a schedule that "
-                        "promised recoverable faults",
-                        static_cast<unsigned>(a), static_cast<unsigned>(b));
+                        "promised recoverable faults", a, b);
           violation(buf);
         }
         continue;
@@ -219,8 +219,7 @@ void ProtocolOracle::finalize(api::Cluster& cluster,
         std::snprintf(
             buf, sizeof(buf),
             "credit imbalance %u->%u: sender charged %llu bytes / %llu "
-            "chunks, receiver heard %llu/%llu",
-            static_cast<unsigned>(a), static_cast<unsigned>(b),
+            "chunks, receiver heard %llu/%llu", a, b,
             static_cast<unsigned long long>(tx.sched.eager_sent_bytes),
             static_cast<unsigned long long>(tx.sched.eager_sent_chunks),
             static_cast<unsigned long long>(rx.sched.eager_heard_bytes),

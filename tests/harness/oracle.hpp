@@ -21,11 +21,12 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "nmad/api/session.hpp"
+#include "nmad/core/core.hpp"
 #include "util/buffer.hpp"
 #include "util/status.hpp"
 
@@ -47,12 +48,14 @@ class ProtocolOracle {
   void recv_completed(int dst, int src, uint64_t tag, size_t index,
                       const util::Status& status, size_t received_bytes);
 
-  // End-of-run audit once the simulation is quiescent: every posted
+  // End-of-run audit once the engines are quiescent: every posted
   // operation completed, per-pair eager accounting balances, stores
-  // drained, and each core's compiled-in invariants hold. `cluster` is
-  // walked pairwise over its gates. With `allow_gate_failures`, pairs
-  // whose gate failed (harsh fault schedules) skip the balance checks.
-  void finalize(api::Cluster& cluster, bool allow_gate_failures = false);
+  // drained, and each core's compiled-in invariants hold. `cores[n]` is
+  // node n's engine, which no other thread may be inside (on the wall
+  // clock, hold every exec lock). With `allow_gate_failures`, pairs whose
+  // gate failed (harsh fault schedules) skip the balance checks.
+  void finalize(std::span<core::Core* const> cores,
+                bool allow_gate_failures = false);
 
   // Harsh fault schedules may legitimately fail gates; completions then
   // surface kClosed/kResourceExhausted instead of kOk. Off by default.

@@ -35,7 +35,7 @@ TEST(Oracle, FlagsDoubleCompletionAndLostOps) {
   // The receive never completes: finalize must flag it as lost.
   (void)r;
   api::Cluster cluster;  // any cluster works for the engine-side walk
-  oracle.finalize(cluster);
+  oracle.finalize(cluster.cores());
   bool lost = false;
   for (const std::string& v : oracle.violations()) {
     if (v.find("never completed") != std::string::npos) lost = true;

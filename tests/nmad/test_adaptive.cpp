@@ -173,7 +173,7 @@ TEST(Adaptive, MidTransferReElectionStaysExactlyOnce) {
     b.release(recv);
   }
   settle(cluster);
-  oracle.finalize(cluster);
+  oracle.finalize(cluster.cores());
   EXPECT_TRUE(oracle.ok());
   for (const std::string& v : oracle.violations()) ADD_FAILURE() << v;
 

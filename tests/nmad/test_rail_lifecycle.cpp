@@ -182,7 +182,7 @@ TEST(RailLifecycle, RendezvousBulkSurvivesRailFlapExactlyOnce) {
 
   cluster.core(0).release(send);
   cluster.core(1).release(recv);
-  oracle.finalize(cluster, /*allow_gate_failures=*/false);
+  oracle.finalize(cluster.cores(), /*allow_gate_failures=*/false);
   EXPECT_TRUE(oracle.ok()) << (oracle.violations().empty()
                                    ? ""
                                    : oracle.violations().front());
@@ -264,6 +264,9 @@ TEST(RailLifecycle, DrainFlushesLoadedFourRankCluster) {
     EXPECT_TRUE(st.is_ok()) << "node " << n << ": " << st.to_string();
     EXPECT_TRUE(cluster.core(n).drained());
     EXPECT_GE(cluster.core(n).stats().drains_completed, 1u);
+    // No packet is still on the wire holding its chunk.
+    EXPECT_EQ(cluster.core(n).alloc_stats().chunk_pool_live, 0u)
+        << "node " << n;
   }
   for (Xfer& x : xfers) {
     ASSERT_TRUE(x.send->done() && x.recv->done());

@@ -98,7 +98,7 @@ TEST(Scale, Alltoall1024RanksHypercube) {
   }
 
   cluster.world().run_to_quiescence();
-  oracle.finalize(cluster);
+  oracle.finalize(cluster.cores());
   EXPECT_TRUE(oracle.ok()) << (oracle.violations().empty()
                                    ? ""
                                    : oracle.violations().front());
@@ -175,7 +175,7 @@ TEST(Scale, Incast10kFlowsOntoOneReceiver) {
   }
 
   cluster.world().run_to_quiescence();
-  oracle.finalize(cluster);
+  oracle.finalize(cluster.cores());
   EXPECT_TRUE(oracle.ok()) << (oracle.violations().empty()
                                    ? ""
                                    : oracle.violations().front());

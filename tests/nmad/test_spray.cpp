@@ -94,7 +94,7 @@ void exchange_under_oracle(api::Cluster& cluster, int count, size_t bytes) {
     b.release(recv);
   }
   settle(cluster);
-  oracle.finalize(cluster);
+  oracle.finalize(cluster.cores());
   EXPECT_TRUE(oracle.ok());
   for (const std::string& v : oracle.violations()) ADD_FAILURE() << v;
 }

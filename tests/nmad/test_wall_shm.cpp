@@ -2,13 +2,14 @@
 // threads and the shared-memory rail — no simulation anywhere.
 //
 // The fig2 ping-pong size sweep runs under the protocol delivery oracle
-// (FIFO matching, payload checksums, exactly-once completion), crossing
-// the eager→rendezvous switch on the way up, and the steady-state
-// allocation contract of test_alloc_churn carries over: after warm-up,
-// ping-pong traffic touches neither the engine pools, nor the timer
-// wheel's slabs, nor the InlineFunction heap.
+// and its quiescence audit, plain and with flow control, crossing the
+// eager→rendezvous switch on the way up, and the steady-state allocation
+// contract of test_alloc_churn carries over: after warm-up, ping-pong
+// traffic touches neither the engine pools, nor the timer queue's slabs,
+// nor the InlineFunction heap.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -25,8 +26,22 @@ namespace {
 
 using api::WallCluster;
 
-TEST(WallShm, Fig2SizeSweepUnderOracle) {
-  WallCluster cluster(WallCluster::Options{});
+// The oracle's end-of-run audit, holding both nodes' exec locks so no
+// pump or timer thread is inside either engine.
+void audit(WallCluster& cluster, harness::ProtocolOracle& oracle) {
+  cluster.locked(0, [&](Core& a) {
+    cluster.locked(1, [&](Core& b) { oracle.finalize(std::array{&a, &b}); });
+  });
+  EXPECT_TRUE(oracle.ok()) << oracle.violations().front();
+}
+
+// Flow control forces reliability on, so acks, retransmits and credit
+// grants run on real threads too.
+void fig2_sweep_under_oracle(bool flow_control) {
+  SCOPED_TRACE(flow_control ? "flow control" : "plain");
+  WallCluster::Options options;
+  options.core.flow_control = flow_control;
+  WallCluster cluster(options);
   harness::ProtocolOracle oracle;
 
   uint64_t tag = 1;
@@ -68,15 +83,17 @@ TEST(WallShm, Fig2SizeSweepUnderOracle) {
     ++tag;
   }
 
-  EXPECT_TRUE(oracle.ok()) << oracle.violations().front();
+  // Completions can run ahead of the last acks and credit grants:
+  // flush both engines before the audit. A drained engine has no packet
+  // on the wire, so no chunk is live.
   for (size_t n = 0; n < cluster.node_count(); ++n) {
     cluster.locked(n, [n](Core& core) {
-      std::vector<std::string> failures;
-      EXPECT_TRUE(core.check_invariants(&failures))
-          << "node " << n << ": "
-          << (failures.empty() ? std::string() : failures.front());
+      const util::Status st = core.drain(5e6);
+      EXPECT_TRUE(st.is_ok()) << "node " << n << ": " << st.to_string();
+      EXPECT_EQ(core.alloc_stats().chunk_pool_live, 0u) << "node " << n;
     });
   }
+  audit(cluster, oracle);
   // The big sizes went rendezvous: the wall path exercised sink posting,
   // direct-deposit slices and completion, not just eager frames.
   const uint64_t rdv = cluster.locked(
@@ -84,17 +101,22 @@ TEST(WallShm, Fig2SizeSweepUnderOracle) {
   EXPECT_GT(rdv, 0u);
 }
 
+TEST(WallShm, Fig2SizeSweepUnderOracle) {
+  fig2_sweep_under_oracle(/*flow_control=*/false);
+  fig2_sweep_under_oracle(/*flow_control=*/true);
+}
+
 // Steady-state witnesses across the whole wall-clock cluster: every
-// pool's capacity/grow counters, the timer wheel's slab/slot capacities
+// pool's capacity/grow counters, the timer queue's slab/slot capacities
 // and the global InlineFunction spill count — all monotone, so flat
 // across the measured phase is exactly zero hot-path allocations.
 struct WallAllocSnapshot {
   size_t pool_capacity = 0;
   size_t pool_grows = 0;
-  size_t wheel_slabs = 0;
-  size_t wheel_node_capacity = 0;
-  size_t wheel_slot_capacity = 0;
-  uint64_t wheel_resizes = 0;
+  size_t queue_slabs = 0;
+  size_t queue_node_capacity = 0;
+  size_t queue_slot_capacity = 0;
+  uint64_t queue_resizes = 0;
   uint64_t fn_spills = 0;
 };
 
@@ -107,10 +129,10 @@ WallAllocSnapshot snapshot(WallCluster& cluster) {
                        a.send_pool_capacity + a.recv_pool_capacity;
     s.pool_grows += a.chunk_pool_grows + a.bulk_pool_grows +
                     a.send_pool_grows + a.recv_pool_grows;
-    s.wheel_slabs += a.queue.node_slabs;
-    s.wheel_node_capacity += a.queue.node_capacity;
-    s.wheel_slot_capacity += a.queue.slot_capacity;
-    s.wheel_resizes += a.queue.resizes;
+    s.queue_slabs += a.queue.node_slabs;
+    s.queue_node_capacity += a.queue.node_capacity;
+    s.queue_slot_capacity += a.queue.slot_capacity;
+    s.queue_resizes += a.queue.resizes;
   }
   s.fn_spills = util::inline_fn_heap_allocs();
   return s;
@@ -149,13 +171,17 @@ TEST(WallShm, SteadyPingPongIsAllocationFree) {
   EXPECT_EQ(steady.pool_capacity, warm.pool_capacity)
       << "an engine pool grew during steady state";
   EXPECT_EQ(steady.pool_grows, warm.pool_grows);
-  EXPECT_EQ(steady.wheel_slabs, warm.wheel_slabs)
-      << "the timer wheel allocated a node slab during steady state";
-  EXPECT_EQ(steady.wheel_node_capacity, warm.wheel_node_capacity);
-  EXPECT_EQ(steady.wheel_slot_capacity, warm.wheel_slot_capacity);
-  EXPECT_EQ(steady.wheel_resizes, warm.wheel_resizes);
+  EXPECT_EQ(steady.queue_slabs, warm.queue_slabs)
+      << "the timer queue allocated a node slab during steady state";
+  EXPECT_EQ(steady.queue_node_capacity, warm.queue_node_capacity);
+  EXPECT_EQ(steady.queue_slot_capacity, warm.queue_slot_capacity);
+  EXPECT_EQ(steady.queue_resizes, warm.queue_resizes);
   EXPECT_EQ(steady.fn_spills, warm.fn_spills)
       << "a callback spilled out of its inline buffer";
+
+  // No stream was recorded, so only the engine audit runs.
+  harness::ProtocolOracle oracle;
+  audit(cluster, oracle);
 }
 
 // The self-measured rail figures flow into RailInfo and debug_dump —

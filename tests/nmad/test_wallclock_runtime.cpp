@@ -61,8 +61,9 @@ TEST(WallClockRuntime, ThreadlessNowIsMonotone) {
   }
 }
 
-// A timer scheduled slightly ahead fires once real time passes it; the
-// callback runs under the exec lock (checked by taking it ourselves).
+// A timer scheduled slightly ahead fires once real time passes it, both
+// through poll_timers() and through advance() called under the exec lock
+// the way Core::drain calls it.
 TEST(WallClockRuntime, ThreadlessTimerFiresWhenDue) {
   WallClockRuntime rt(threadless());
   bool fired = false;
@@ -73,6 +74,14 @@ TEST(WallClockRuntime, ThreadlessTimerFiresWhenDue) {
     rt.poll_timers();
   }
   EXPECT_TRUE(fired);
+
+  fired = false;
+  ExecGuard guard(rt);
+  rt.schedule_after(200.0, [&fired] { fired = true; });
+  while (!fired) {
+    ASSERT_LT(rt.now_us(), deadline) << "advance() never fired the timer";
+    rt.advance();
+  }
 }
 
 // Background-thread mode: the pump thread fires the timer on its own;
@@ -92,6 +101,7 @@ TEST(WallClockRuntime, BackgroundThreadFiresTimers) {
   const double deadline = rt.now_us() + 5e6;
   while (fired.load() < 2) {
     ASSERT_LT(rt.now_us(), deadline) << "pump thread never fired the timers";
+    ExecGuard guard(rt);  // advance() lets go of it while it waits
     rt.advance();
   }
   EXPECT_EQ(fired.load(), 2);
